@@ -1,17 +1,12 @@
 //! Parallel-in-time sampling: the interval-dispatch speedup table.
 //!
-//! Runs the sampling design catalogue through the interval sampler
-//! twice — sequentially (interval after interval) and with
-//! parallel-in-time dispatch (every measured period an independent
-//! work item restoring a shared base checkpoint) — and reports each
-//! design's interval count, both wall times, the speedup, and the
-//! bit-equality verdict. This is the experiment-harness face of
-//! `fc_sweep --grid sampled --bench-pit BENCH_pit.json`.
+//! Runs the sampling design catalogue through the sampled grid twice —
+//! on one thread and on the lab's thread count (parallel-in-time: every
+//! measured period an independent work item restoring a shared base
+//! checkpoint) — and reports each design's interval count, both times,
+//! the speedup, and the bit-equality verdict.
 
-use fc_sweep::{
-    run_sampled_grid, run_sampled_grid_pit, RunScale, SampledGrid, SweepEngine, SweepSpec,
-    WorkloadKind,
-};
+use fc_sweep::{run_sampled_grid, RunScale, SampledGrid, SweepEngine, SweepSpec, WorkloadKind};
 
 use crate::experiments::Table;
 use crate::Lab;
@@ -35,7 +30,7 @@ fn pit_scale() -> RunScale {
 
 /// Regenerates the parallel-in-time interval-dispatch table.
 pub fn pit(lab: &mut Lab) -> String {
-    let workers = lab.threads().max(2);
+    let workers = lab.threads();
     let spec = SweepSpec::new(pit_scale())
         .with_seed(lab.base_seed())
         .grid(&[WorkloadKind::WebSearch], &designs());
@@ -56,11 +51,11 @@ pub fn pit(lab: &mut Lab) -> String {
 
     let pit_engine = SweepEngine::new()
         .with_trace_budget(budget)
-        .with_threads(1)
+        .with_threads(workers)
         .quiet();
     grid.prefetch_traces(&pit_engine);
     let started = std::time::Instant::now();
-    let par = run_sampled_grid_pit(&grid, &pit_engine, workers);
+    let par = run_sampled_grid(&grid, &pit_engine);
     let pit_secs = started.elapsed().as_secs_f64();
 
     let mut table = Table::new(&[
@@ -102,17 +97,17 @@ pub fn pit(lab: &mut Lab) -> String {
     );
     format!(
         "## Parallel-in-time sampling — interval dispatch on {workers} workers\n\n\
-         The same sampled grid run sequentially and with every measured\n\
-         period dispatched as an independent work item (each restores the\n\
-         shared base checkpoint, replays its own warmup, measures its\n\
-         interval). Reports are bit-identical by construction — the table\n\
-         asserts it. Wall-clock speedup tracks the *physical core count*\n\
+         The same sampled grid run on one thread and on {workers}, every\n\
+         measured period dispatched as an independent work item (each\n\
+         restores the shared base checkpoint, replays its own warmup,\n\
+         measures its interval). Reports are bit-identical by construction\n\
+         — the table asserts it. Wall-clock speedup tracks the *physical core count*\n\
          of the host, not the worker count; designs whose auto plans fall\n\
          back to exhaustive warming (continuous state, e.g. Banshee) are\n\
-         unsplittable in time and run sequentially. Per-point `pit secs`\n\
+         unsplittable in time and run whole on one worker. Per-point `pit secs`\n\
          are CPU-busy seconds summed across workers (the work, which\n\
          parallelism does not change); the grid *wall* totals carry the\n\
-         speedup: sequential {seq_secs:.2}s vs parallel-in-time\n\
+         speedup: one thread {seq_secs:.2}s vs {workers} threads\n\
          {pit_secs:.2}s ({:.2}x).\n\n{}",
         seq_secs / pit_secs.max(1e-9),
         table.to_markdown()

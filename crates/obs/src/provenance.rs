@@ -25,9 +25,6 @@ pub struct Provenance {
     pub seed: Option<u64>,
     /// Worker thread count.
     pub threads: Option<usize>,
-    /// Parallel-in-time worker count for sampled runs (absent when
-    /// the run did not use interval-level dispatch).
-    pub pit_workers: Option<usize>,
     /// Workload labels covered by the run.
     pub workloads: Vec<String>,
     /// Design labels covered by the run.
@@ -57,7 +54,6 @@ impl Provenance {
             scale: None,
             seed: None,
             threads: None,
-            pit_workers: None,
             workloads: Vec::new(),
             designs: Vec::new(),
             points: None,
@@ -95,10 +91,6 @@ impl Provenance {
         fields.push(match self.threads {
             Some(t) => format!("\"threads\": {t}"),
             None => "\"threads\": null".to_string(),
-        });
-        fields.push(match self.pit_workers {
-            Some(w) => format!("\"pit_workers\": {w}"),
-            None => "\"pit_workers\": null".to_string(),
         });
         fields.push(format!("\"workloads\": {}", str_list(&self.workloads)));
         fields.push(format!("\"designs\": {}", str_list(&self.designs)));
@@ -140,7 +132,6 @@ mod tests {
         p.scale = Some("smoke".to_string());
         p.seed = Some(42);
         p.threads = Some(4);
-        p.pit_workers = Some(8);
         p.workloads = vec!["astar-like".to_string()];
         p.designs = vec!["fc-3.0".to_string(), "ideal".to_string()];
         p.points = Some(12);
@@ -153,7 +144,6 @@ mod tests {
             "\"scale\": \"smoke\"",
             "\"seed\": 42",
             "\"threads\": 4",
-            "\"pit_workers\": 8",
             "\"workloads\": [\"astar-like\"]",
             "\"designs\": [\"fc-3.0\", \"ideal\"]",
             "\"points\": 12",
@@ -171,7 +161,6 @@ mod tests {
         let json = Provenance::for_tool("fc_experiments").to_json();
         assert!(json.contains("\"grid\": null"));
         assert!(json.contains("\"seed\": null"));
-        assert!(json.contains("\"pit_workers\": null"));
         assert!(json.contains("\"wall_secs\": null"));
         assert!(json.contains("\"store_generation\": null"));
     }

@@ -50,7 +50,7 @@ mod report;
 mod runner;
 
 pub use estimate::Estimate;
-pub use pit::{assemble_report, build_base, fresh_at, run_interval, run_sampled_pit};
+pub use pit::{assemble_report, build_base, fresh_at, run_interval};
 pub use plan::SamplePlan;
 pub use report::{IntervalSample, SampledReport};
 pub use runner::{run_sampled, run_sampled_stream};

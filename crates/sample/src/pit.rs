@@ -1,95 +1,27 @@
-//! Parallel-in-time execution of one sampled run.
+//! The building blocks of parallel-in-time sampled runs.
 //!
 //! A skipping [`SamplePlan`] makes every measured period a pure
 //! function of (base checkpoint, that period's records): the
 //! sequential driver restores the base checkpoint before each period's
-//! functional warmup, so no period observes another's state. This
-//! module exploits that — the base is built once (the initial
-//! functional-warmup window), then periods drain from a shared cursor
-//! across worker threads, each worker cloning the base and replaying
-//! only its own period. Interval samples land in per-period slots and
-//! aggregate in plan order, so the report is **bit-identical** to the
-//! sequential driver's at any worker count.
+//! functional warmup, so no period observes another's state. These
+//! functions expose that split — [`build_base`] replays the initial
+//! functional-warmup window once, [`run_interval`] replays one period
+//! from a clone of the base, and [`assemble_report`] merges the
+//! interval samples in plan order — so a scheduler can run the periods
+//! on any workers in any order and still produce a report
+//! **bit-identical** to [`run_sampled`](crate::run_sampled)'s. The
+//! sweep layer's `run_sampled_grid` is that scheduler.
 //!
 //! Continuous (exhaustive) plans carry state through the whole region
-//! and cannot be split in time; they delegate to the sequential
-//! driver, as does `workers <= 1`.
-
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::OnceLock;
+//! and cannot be split in time; callers run them through the
+//! sequential driver.
 
 use fc_sim::{Checkpoint, DesignSpec, SimConfig, SimReport, Simulation};
 use fc_trace::TraceRecord;
 
 use crate::plan::SamplePlan;
 use crate::report::{IntervalSample, SampledReport};
-use crate::runner::{run_sampled, PlanLayout};
-
-/// Runs a sampled simulation with periods dispatched across `workers`
-/// threads. Requires a materialized slice (workers seek to arbitrary
-/// record indices); the sweep layer falls back to the sequential
-/// streaming path when the trace cache cannot hold the run.
-///
-/// The report is bit-identical to [`run_sampled`] on the same inputs,
-/// for every `workers` value — both drivers compute the same pure
-/// per-period function from the same base checkpoint and merge in
-/// plan order.
-///
-/// # Panics
-///
-/// Panics if the plan is invalid, the slice is shorter than
-/// `warmup + measured`, or the measured region yields no interval.
-pub fn run_sampled_pit(
-    sim: &mut Simulation,
-    records: &[TraceRecord],
-    warmup: u64,
-    measured: u64,
-    plan: &SamplePlan,
-    workers: usize,
-) -> SampledReport {
-    assert!(
-        records.len() as u64 >= warmup + measured,
-        "slice holds {} records but the run needs {}",
-        records.len(),
-        warmup + measured
-    );
-    if plan.skip() == 0 || workers <= 1 {
-        return run_sampled(sim, records, warmup, measured, plan);
-    }
-    let base = build_base(sim, records, warmup, measured, plan);
-    let layout = PlanLayout::of(plan, warmup, measured);
-
-    let periods = layout.periods as usize;
-    fc_obs::metrics::counter("pit.intervals_dispatched").add(layout.periods);
-    let slots: Vec<OnceLock<IntervalSample>> = (0..periods).map(|_| OnceLock::new()).collect();
-    let cursor = AtomicUsize::new(0);
-    let workers = workers.min(periods.max(1));
-    std::thread::scope(|scope| {
-        let (base, slots, cursor) = (&base, &slots, &cursor);
-        for worker in 0..workers {
-            scope.spawn(move || {
-                fc_obs::trace::set_lane_name(&format!("pit-{worker}"));
-                loop {
-                    let k = cursor.fetch_add(1, Ordering::Relaxed);
-                    if k >= periods {
-                        break;
-                    }
-                    let sample = run_interval(base, records, warmup, measured, plan, k as u64);
-                    slots[k].set(sample).expect("slot written once");
-                }
-                // Explicit: a scoped join may land before TLS
-                // destructors run, so the trace buffer drains here.
-                fc_obs::trace::flush_thread();
-            });
-        }
-    });
-
-    let intervals: Vec<IntervalSample> = slots
-        .into_iter()
-        .map(|slot| slot.into_inner().expect("every period ran"))
-        .collect();
-    assemble_report(plan, warmup, measured, intervals)
-}
+use crate::runner::PlanLayout;
 
 /// Replays the initial functional-warmup window on `sim` and captures
 /// the base checkpoint every period of a skipping plan restores.
@@ -246,39 +178,26 @@ mod tests {
     }
 
     // A skipping plan: period 4000, fw 600, dw 200, interval 200 →
-    // skip() = 3000 > 0, so the checkpointed/parallel path engages.
+    // skip() = 3000 > 0, so the run splits into independent periods.
     fn skipping_plan() -> SamplePlan {
         SamplePlan::new(4_000, 600, 200, 200).with_warmup_window(2_000)
     }
 
     #[test]
     fn parallel_matches_sequential_bit_for_bit() {
+        // Periods computed from one base in reverse order — as any
+        // worker schedule may — assemble into the sequential report.
         let rs = records(30_000);
         let plan = skipping_plan();
-        let seq = run_sampled(&mut sim(), &rs, 6_000, 24_000, &plan);
-        for workers in [2, 3, 8] {
-            let pit = run_sampled_pit(&mut sim(), &rs, 6_000, 24_000, &plan, workers);
-            assert_eq!(seq, pit, "{workers} workers diverged");
-        }
-    }
-
-    #[test]
-    fn single_worker_delegates_to_sequential() {
-        let rs = records(30_000);
-        let plan = skipping_plan();
-        let seq = run_sampled(&mut sim(), &rs, 6_000, 24_000, &plan);
-        let one = run_sampled_pit(&mut sim(), &rs, 6_000, 24_000, &plan, 1);
-        assert_eq!(seq, one);
-    }
-
-    #[test]
-    fn exhaustive_plans_delegate_to_sequential() {
-        let rs = records(12_000);
-        let plan = SamplePlan::exhaustive(2_000, 200, 200);
-        let seq = run_sampled(&mut sim(), &rs, 2_000, 10_000, &plan);
-        let pit = run_sampled_pit(&mut sim(), &rs, 2_000, 10_000, &plan, 4);
-        assert_eq!(seq, pit);
-        assert_eq!(pit.replayed_records, 12_000);
+        let seq = crate::run_sampled(&mut sim(), &rs, 6_000, 24_000, &plan);
+        let base = build_base(&mut sim(), &rs, 6_000, 24_000, &plan);
+        let periods = plan.intervals_in(24_000);
+        let mut samples: Vec<IntervalSample> = (0..periods)
+            .rev()
+            .map(|k| run_interval(&base, &rs, 6_000, 24_000, &plan, k))
+            .collect();
+        samples.reverse();
+        assert_eq!(seq, assemble_report(&plan, 6_000, 24_000, samples));
     }
 
     #[test]

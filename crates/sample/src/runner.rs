@@ -25,8 +25,9 @@ trait Source {
 }
 
 /// Per-period record layout of a plan over a run, shared by the
-/// sequential driver and the parallel-in-time dispatcher so both walk
-/// byte-identical record positions.
+/// sequential driver and the parallel-in-time building blocks
+/// (`build_base` / `run_interval`) so both walk byte-identical record
+/// positions.
 ///
 /// Each period is `[lead skip | functional warmup | detailed warmup |
 /// measured interval | trail skip]`, with the interval *centered* in
@@ -199,7 +200,7 @@ fn drive(
     //   functional warmup. Each period is thus a pure function of
     //   (base, period records): it no longer sees the detailed/warmed
     //   state of earlier periods, which is exactly what lets the
-    //   parallel-in-time dispatcher run periods on different workers
+    //   sweep layer's parallel-in-time pool run periods on different workers
     //   and still produce bit-identical reports. The per-period
     //   functional warmup was always sized (to the design's turnover)
     //   to repair staleness across the skipped gap; restoring the base

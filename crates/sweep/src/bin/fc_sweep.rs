@@ -16,8 +16,8 @@ use fc_sim::loaded::LoadedConfig;
 use fc_sim::registry::{resolve_designs, DESIGN_FAMILIES};
 use fc_sim::{resolve_scenarios, ScenarioSpec, SimConfig, SCENARIO_FAMILIES};
 use fc_sweep::{
-    emit, run_sampled_grid, run_sampled_grid_pit, DesignSpec, LoadedGrid, MixGrid, RunScale,
-    SamplePlan, SampledGrid, SweepEngine, SweepResult, SweepSpec, WorkloadKind,
+    emit, run_sampled_grid, DesignSpec, LoadedGrid, MixGrid, RunScale, SamplePlan, SampledGrid,
+    SweepEngine, SweepResult, SweepSpec, WorkloadKind,
 };
 
 const USAGE: &str = "\
@@ -75,28 +75,19 @@ options:
   --sampled          run the trace-replay grid through the fc-sample
                      interval sampler (auto per-point plans: functional
                      warmup windows scaled to each design's capacity and
-                     state memory) instead of full detailed replay
+                     state memory) instead of full detailed replay.
+                     Points whose plan skips run parallel-in-time: their
+                     measured periods spread across the --threads
+                     workers, each restoring a shared base checkpoint;
+                     results are bit-identical at any thread count
   --sample-period N  override the sampling period (records per measured
                      interval); implies --sampled. The other plan knobs
                      derive from the period (interval = period/8, detail
                      warmup = interval/2, rest functional, no skip)
   --sample-strata N  round-robin strata for the estimates (default 1)
-  --pit-workers N    parallel-in-time: dispatch each sampled point's
-                     measurement intervals to N workers restoring a
-                     shared base checkpoint (implies --sampled; default:
-                     the thread count at the long scale, off otherwise).
-                     Results are bit-identical at any worker count
-  --no-pit           force sequential interval execution even at the
-                     long scale
-  --verify-pit       also run the grid sequentially and through a
-                     2-worker parallel-in-time engine (both fresh) and
-                     verify the reports are bit-identical; exit 1 if not
-  --bench-pit PATH   time fresh sequential-sampled vs parallel-in-time
-                     runs of the grid and write the points/sec + speedup
-                     report, e.g. BENCH_pit.json (implies --sampled;
-                     wall-clock speedup tracks the physical core count)
-  --speedup          rerun the grid sequentially, report speedup, verify
+  --speedup          rerun the grid on one thread, report speedup, verify
                      the parallel and sequential results are identical
+                     (exit 1 on any difference)
   --json PATH        write results as JSON
   --csv PATH         write results as CSV
   --bench PATH       write a benchmark summary as JSON, e.g.
@@ -627,37 +618,6 @@ fn run_mix_grid(
     obs.finish(&prov);
 }
 
-/// The `--pit-workers` / `--no-pit` / `--verify-pit` / `--bench-pit`
-/// bundle: how parallel-in-time interval dispatch applies to a sampled
-/// run.
-struct PitMode {
-    /// Explicit `--pit-workers N` (implies PIT on).
-    workers: Option<usize>,
-    /// `--no-pit`: force sequential interval execution.
-    disabled: bool,
-    /// `--verify-pit`: fresh sequential vs fresh 2-worker PIT runs,
-    /// bit-equality checked.
-    verify: bool,
-    /// `--bench-pit PATH`: timed sequential-vs-PIT report.
-    bench_path: Option<String>,
-}
-
-impl PitMode {
-    /// The worker count the main run dispatches intervals to, `None`
-    /// for sequential execution. PIT defaults on at the long-trace
-    /// scale — the scale sampling (and its parallelization) exists
-    /// for — at the engine's thread count, with no floor: forcing
-    /// extra workers onto fewer cores just time-slices and inflates
-    /// per-point busy time.
-    fn resolve(&self, scale_name: &str, engine_threads: usize) -> Option<usize> {
-        if self.disabled {
-            return None;
-        }
-        self.workers
-            .or_else(|| (scale_name == "long").then_some(engine_threads))
-    }
-}
-
 /// Runs a trace-replay spec through the interval sampler
 /// (`--sampled` / `--grid sampled`): auto or period-derived plans,
 /// estimate table with confidence intervals, sampled emitters, and —
@@ -671,7 +631,6 @@ fn run_sampled_mode(
     seed: u64,
     sample_period: Option<u64>,
     sample_strata: u32,
-    pit: PitMode,
     threads: Option<usize>,
     speedup: bool,
     json_path: &Option<String>,
@@ -746,15 +705,11 @@ fn run_sampled_mode(
         engine = engine.with_progress_jsonl(sink);
     }
     let workers = engine.threads();
-    let pit_workers = pit.resolve(scale_name, workers);
     eprintln!(
         "[fc_sweep] grid {grid_name} [sampled]: {} points on {} thread(s)",
         grid.len(),
         workers
     );
-    if let Some(w) = pit_workers {
-        eprintln!("[fc_sweep] parallel-in-time dispatch: {w} interval worker(s)");
-    }
     // Synthesize the shared traces up front: both the sampled grid and
     // its full detailed twin replay the same cached streams, so
     // neither timing should be charged for the synthesis they share.
@@ -768,10 +723,7 @@ fn run_sampled_mode(
         );
     }
     let started = Instant::now();
-    let results = match pit_workers {
-        Some(w) => run_sampled_grid_pit(&grid, &engine, w),
-        None => run_sampled_grid(&grid, &engine),
-    };
+    let results = run_sampled_grid(&grid, &engine);
     let sampled_secs = started.elapsed().as_secs_f64();
     eprintln!(
         "[fc_sweep] {} sampled simulations in {sampled_secs:.2}s",
@@ -826,41 +778,12 @@ fn run_sampled_mode(
         }
     }
 
-    if pit.verify {
-        // Both runs on fresh engines (fresh memo stores), so each
-        // actually simulates: sequential interval execution vs
-        // 2-worker interval dispatch must agree bit-for-bit.
-        let seq_engine = SweepEngine::new()
-            .with_trace_budget(budget)
-            .with_threads(1)
-            .quiet();
-        grid.prefetch_traces(&seq_engine);
-        let seq = run_sampled_grid(&grid, &seq_engine);
-        let pit_engine = SweepEngine::new()
-            .with_trace_budget(budget)
-            .with_threads(1)
-            .quiet();
-        grid.prefetch_traces(&pit_engine);
-        let pit_results = run_sampled_grid_pit(&grid, &pit_engine, 2);
-        let identical = seq
-            .iter()
-            .zip(&pit_results)
-            .all(|(a, b)| *a.report == *b.report);
-        println!(
-            "verify-pit: sequential vs 2-worker parallel-in-time identical: {}",
-            if identical { "yes" } else { "NO (BUG)" }
-        );
-        if !identical {
-            std::process::exit(1);
-        }
-    }
-
     let grid_label = if grid_name == "sampled" {
         grid_name.to_string()
     } else {
         format!("{grid_name}[sampled]")
     };
-    let mut prov = provenance(
+    let prov = provenance(
         &grid_label,
         scale_name,
         seed,
@@ -875,7 +798,6 @@ fn run_sampled_mode(
         design_labels(&spec.points().iter().map(|p| p.design).collect::<Vec<_>>()),
         sampled_secs,
     );
-    prov.pit_workers = pit_workers;
     if let Some(path) = json_path {
         write_file(
             path,
@@ -907,49 +829,6 @@ fn run_sampled_mode(
             full_secs / sampled_secs.max(1e-9)
         );
     }
-    if let Some(path) = &pit.bench_path {
-        // Two fresh engines so memoization cannot contaminate either
-        // timing: sequential interval execution vs parallel-in-time
-        // dispatch of the same grid. Both share pre-synthesized
-        // traces; the wall-clock ratio tracks the physical core
-        // count, not the worker count.
-        let bench_workers = pit_workers.unwrap_or_else(|| workers.max(2));
-        eprintln!(
-            "[fc_sweep] timing sequential vs {bench_workers}-worker \
-             parallel-in-time runs for {path}"
-        );
-        let seq_engine = SweepEngine::new()
-            .with_trace_budget(budget)
-            .with_threads(1)
-            .quiet();
-        grid.prefetch_traces(&seq_engine);
-        let started = Instant::now();
-        let seq = run_sampled_grid(&grid, &seq_engine);
-        let seq_secs = started.elapsed().as_secs_f64();
-        let pit_engine = SweepEngine::new()
-            .with_trace_budget(budget)
-            .with_threads(1)
-            .quiet();
-        grid.prefetch_traces(&pit_engine);
-        let started = Instant::now();
-        let pit_results = run_sampled_grid_pit(&grid, &pit_engine, bench_workers);
-        let pit_secs = started.elapsed().as_secs_f64();
-        let report = emit::to_pit_bench_json(&seq, &pit_results, seq_secs, pit_secs, bench_workers);
-        let identical = seq
-            .iter()
-            .zip(&pit_results)
-            .all(|(a, b)| *a.report == *b.report);
-        write_file(path, &emit::with_provenance(&report, &prov));
-        eprintln!(
-            "[fc_sweep] pit bench: sequential {seq_secs:.2}s vs parallel {pit_secs:.2}s \
-             ({:.2}x wall on {bench_workers} workers); identical: {}",
-            seq_secs / pit_secs.max(1e-9),
-            if identical { "yes" } else { "NO (BUG)" }
-        );
-        if !identical {
-            std::process::exit(1);
-        }
-    }
     obs.finish(&prov);
 }
 
@@ -975,10 +854,6 @@ fn main() {
     let mut sampled = false;
     let mut sample_period: Option<u64> = None;
     let mut sample_strata: u32 = 1;
-    let mut pit_workers: Option<usize> = None;
-    let mut no_pit = false;
-    let mut verify_pit = false;
-    let mut bench_pit_path: Option<String> = None;
     let mut speedup = false;
     let mut json_path: Option<String> = None;
     let mut csv_path: Option<String> = None;
@@ -1082,25 +957,6 @@ fn main() {
                 seed = value(&mut args, "--seed")
                     .parse()
                     .unwrap_or_else(|_| fail("bad --seed value"))
-            }
-            "--pit-workers" => {
-                sampled = true;
-                let n: usize = value(&mut args, "--pit-workers")
-                    .parse()
-                    .unwrap_or_else(|_| fail("bad --pit-workers value"));
-                if n == 0 {
-                    fail("--pit-workers must be at least 1");
-                }
-                pit_workers = Some(n);
-            }
-            "--no-pit" => no_pit = true,
-            "--verify-pit" => {
-                sampled = true;
-                verify_pit = true;
-            }
-            "--bench-pit" => {
-                sampled = true;
-                bench_pit_path = Some(value(&mut args, "--bench-pit"));
             }
             "--speedup" => speedup = true,
             "--json" => json_path = Some(value(&mut args, "--json")),
@@ -1270,9 +1126,6 @@ fn main() {
     if sampled && (grid == "mix" || grid == "loaded") {
         fail("--sampled applies to trace-replay grids (fig4/fig5/fig67/designspace/sampled)");
     }
-    if no_pit && pit_workers.is_some() {
-        fail("--no-pit conflicts with --pit-workers");
-    }
     if store_dir.is_some() && (sampled || grid == "mix" || grid == "loaded") {
         eprintln!(
             "[fc_sweep] note: --store backs the detailed trace-replay store; \
@@ -1346,12 +1199,6 @@ fn main() {
             seed,
             sample_period,
             sample_strata,
-            PitMode {
-                workers: pit_workers,
-                disabled: no_pit,
-                verify: verify_pit,
-                bench_path: bench_pit_path,
-            },
             threads,
             speedup,
             &json_path,

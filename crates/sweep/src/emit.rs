@@ -800,84 +800,6 @@ pub fn to_sample_bench_json(
     )
 }
 
-/// Renders the parallel-in-time benchmark: the same sampled grid run
-/// sequentially (one worker, interval after interval) and with
-/// interval-level dispatch across `pit_workers` workers. Per point,
-/// both sim times (sequential wall vs summed per-worker busy time —
-/// the work, which parallelism does not change) and whether the two
-/// reports are bit-identical (they must be — a `false` here is a bug,
-/// and the CLI exits non-zero); the grid-level wall times and
-/// points/sec carry the actual speedup. CI emits this as
-/// `BENCH_pit.json`. Wall-clock speedup tracks the *physical* core
-/// count, not `pit_workers`.
-///
-/// # Panics
-///
-/// Panics if the two result sets differ in length or point order.
-pub fn to_pit_bench_json(
-    sequential: &[crate::SampledResult],
-    pit: &[crate::SampledResult],
-    sequential_wall_secs: f64,
-    pit_wall_secs: f64,
-    pit_workers: usize,
-) -> String {
-    assert_eq!(
-        sequential.len(),
-        pit.len(),
-        "sequential and parallel-in-time result sets must cover the same spec"
-    );
-    let mut rows = String::new();
-    let mut all_identical = true;
-    for (i, (s, p)) in sequential.iter().zip(pit).enumerate() {
-        assert_eq!(s.point.point, p.point.point, "point order mismatch");
-        let identical = *s.report == *p.report;
-        all_identical &= identical;
-        let speedup = if p.sim_secs > 0.0 {
-            s.sim_secs / p.sim_secs
-        } else {
-            0.0
-        };
-        rows.push_str(&format!(
-            "    {{\"workload\": \"{}\", \"design\": \"{}\", \
-             \"sequential_secs\": {}, \"pit_secs\": {}, \"speedup\": {}, \
-             \"identical\": {}, \"intervals\": {}, \"splittable\": {}, \
-             \"replayed_fraction\": {}}}{}\n",
-            json_escape(&s.point.point.workload.to_string()),
-            json_escape(&s.point.point.design.label()),
-            json_num(s.sim_secs),
-            json_num(p.sim_secs),
-            json_num(speedup),
-            identical,
-            s.report.intervals.len(),
-            s.report.plan.skip() > 0,
-            json_num(s.report.replayed_fraction()),
-            if i + 1 == sequential.len() { "" } else { "," },
-        ));
-    }
-    let pps = |n: usize, secs: f64| {
-        if secs > 0.0 {
-            n as f64 / secs
-        } else {
-            0.0
-        }
-    };
-    format!(
-        "{{\n  \"grid\": \"pit\",\n  \"points\": {},\n  \"pit_workers\": {},\n  \
-         \"sequential_wall_secs\": {},\n  \"pit_wall_secs\": {},\n  \
-         \"sequential_points_per_sec\": {},\n  \"pit_points_per_sec\": {},\n  \
-         \"speedup\": {},\n  \"identical\": {},\n  \"rows\": [\n{}  ]\n}}\n",
-        sequential.len(),
-        pit_workers,
-        json_num(sequential_wall_secs),
-        json_num(pit_wall_secs),
-        json_num(pps(sequential.len(), sequential_wall_secs)),
-        json_num(pps(pit.len(), pit_wall_secs)),
-        json_num(sequential_wall_secs / pit_wall_secs.max(1e-9)),
-        all_identical,
-        rows,
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1066,47 +988,6 @@ mod tests {
         let engine = SweepEngine::new().with_threads(1).quiet();
         let sampled = run_sampled_grid(&grid, &engine);
         to_sample_bench_json(&sampled, &[], 0.1, 0.1);
-    }
-
-    #[test]
-    fn pit_bench_compares_sequential_and_parallel_runs() {
-        use crate::{run_sampled_grid, run_sampled_grid_pit, SamplePlan, SampledGrid};
-        let spec = SweepSpec::new(RunScale::tiny()).grid(
-            &[WorkloadKind::WebSearch],
-            &[DesignSpec::baseline(), DesignSpec::footprint(64)],
-        );
-        let plan = SamplePlan::new(1_000, 200, 100, 100).with_warmup_window(1_000);
-        let grid = SampledGrid::with_plan(&spec, plan);
-        let sequential = run_sampled_grid(&grid, &SweepEngine::new().with_threads(1).quiet());
-        let pit = run_sampled_grid_pit(&grid, &SweepEngine::new().with_threads(1).quiet(), 3);
-
-        let bench = to_pit_bench_json(&sequential, &pit, 2.0, 0.5, 3);
-        let parsed = fc_sim::json::JsonValue::parse(&bench).expect("valid JSON");
-        assert_eq!(parsed.field("grid").unwrap().as_str().unwrap(), "pit");
-        assert_eq!(parsed.field("pit_workers").unwrap().as_u64().unwrap(), 3);
-        assert_eq!(parsed.field("speedup").unwrap().as_u64().unwrap(), 4);
-        assert!(parsed.field("identical").unwrap().as_bool().unwrap());
-        let fc_sim::json::JsonValue::Arr(rows) = parsed.field("rows").unwrap() else {
-            panic!("rows should be an array");
-        };
-        assert_eq!(rows.len(), 2);
-        assert!(rows
-            .iter()
-            .all(|r| r.field("identical").unwrap().as_bool().unwrap()));
-        assert!(rows
-            .iter()
-            .all(|r| r.field("splittable").unwrap().as_bool().unwrap()));
-    }
-
-    #[test]
-    #[should_panic(expected = "same spec")]
-    fn pit_bench_rejects_mismatched_sets() {
-        use crate::{run_sampled_grid, SamplePlan, SampledGrid};
-        let spec =
-            SweepSpec::new(RunScale::tiny()).point(WorkloadKind::WebSearch, DesignSpec::baseline());
-        let grid = SampledGrid::with_plan(&spec, SamplePlan::exhaustive(500, 100, 100));
-        let sampled = run_sampled_grid(&grid, &SweepEngine::new().with_threads(1).quiet());
-        to_pit_bench_json(&sampled, &[], 0.1, 0.1, 2);
     }
 
     #[test]

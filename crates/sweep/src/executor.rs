@@ -1,11 +1,11 @@
 //! The parallel sweep executor.
 
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
 use fc_obs::{metrics, trace};
 use fc_sim::{SimReport, Simulation};
 
+use crate::pool;
 use crate::progress::{Progress, ProgressSink};
 use crate::spec::{SweepPoint, SweepSpec};
 use crate::store::ResultStore;
@@ -26,14 +26,10 @@ pub struct SweepResult {
     pub memoized: bool,
 }
 
-/// The self-balancing parallel executor (a shared work queue, not
-/// per-worker deques: nothing is ever stolen, the cursor hands each
-/// idle worker the next unclaimed point).
-///
-/// A thread that draws a short run immediately claims the next
-/// unclaimed point, so
-/// heterogeneous grids (64 MB next to 512 MB runs) stay load-balanced
-/// without any up-front partitioning.
+/// The self-balancing parallel executor. Points run on the crate's
+/// shared worker pool: an idle worker claims the next unclaimed point,
+/// so heterogeneous grids (64 MB next to 512 MB runs) stay
+/// load-balanced without any up-front partitioning.
 ///
 /// **Determinism:** each point is simulated by a fresh
 /// [`Simulation`] seeded purely from the point
@@ -133,7 +129,7 @@ impl SweepEngine {
 
     /// A progress tracker for `total` points wired to this engine's
     /// verbosity and `--progress-jsonl` sink (shared with the sampled
-    /// runner, which drives its own point loop).
+    /// runner, which finishes points from inside its own task queue).
     pub(crate) fn progress_for(&self, total: usize) -> Progress {
         Progress::new(total, self.verbose).with_jsonl(self.jsonl.clone())
     }
@@ -143,53 +139,21 @@ impl SweepEngine {
     pub fn run_spec(&self, spec: &SweepSpec) -> Vec<SweepResult> {
         let points = spec.points();
         let progress = self.progress_for(points.len());
-        let slots: Vec<OnceLock<(Arc<SimReport>, f64, bool)>> =
-            points.iter().map(|_| OnceLock::new()).collect();
-        let cursor = AtomicUsize::new(0);
-
-        let workers = self.threads.min(points.len()).max(1);
-        if workers == 1 {
-            trace::set_lane_name("main");
-            for (point, slot) in points.iter().zip(&slots) {
-                let outcome = self.run_point_tracked(point, &progress);
-                slot.set(outcome).expect("slot written once");
-            }
-        } else {
-            std::thread::scope(|scope| {
-                let (cursor, points, slots, progress) = (&cursor, &points, &slots, &progress);
-                for worker in 0..workers {
-                    scope.spawn(move || {
-                        trace::set_lane_name(&format!("worker-{worker}"));
-                        loop {
-                            let index = cursor.fetch_add(1, Ordering::Relaxed);
-                            let Some(point) = points.get(index) else {
-                                break;
-                            };
-                            let outcome = self.run_point_tracked(point, progress);
-                            slots[index].set(outcome).expect("slot written once");
-                        }
-                        // Explicit: a scoped join may land before TLS
-                        // destructors run, so the buffer drains here.
-                        trace::flush_thread();
-                    });
-                }
-            });
-        }
+        let outcomes = pool::par_map(self.threads, points, |point| {
+            self.run_point_tracked(point, &progress)
+        });
         progress.finish_run();
         metrics::counter("sweep.points").add(points.len() as u64);
         metrics::counter("sweep.memo_hits").add(progress.memo_hits() as u64);
 
         points
             .iter()
-            .zip(slots)
-            .map(|(point, slot)| {
-                let (report, sim_secs, memoized) = slot.into_inner().expect("every point ran");
-                SweepResult {
-                    point: *point,
-                    report,
-                    sim_secs,
-                    memoized,
-                }
+            .zip(outcomes)
+            .map(|(&point, (report, sim_secs, memoized))| SweepResult {
+                point,
+                report,
+                sim_secs,
+                memoized,
             })
             .collect()
     }

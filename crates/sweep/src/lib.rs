@@ -12,7 +12,8 @@
 //!   threads claim points from a shared cursor and run each as an independent
 //!   [`Simulation`](fc_sim::Simulation). Every point's seed is a pure
 //!   function of the point itself, so results are **bit-identical
-//!   regardless of thread count or completion order**.
+//!   regardless of thread count or completion order**. Detailed,
+//!   mix, loaded and sampled grids all run on one worker pool.
 //! * [`ResultStore`] — a sharded, concurrent, memoized result store
 //!   keyed by a stable hash of the full point configuration; a point is
 //!   simulated at most once per engine, and repeated submissions return
@@ -66,6 +67,7 @@ mod executor;
 pub mod loaded;
 pub mod mix;
 pub mod monitor;
+mod pool;
 mod progress;
 mod ring;
 pub mod sampled;
@@ -83,9 +85,7 @@ pub use mix::{run_mix, MixGrid, MixPoint, MixResult};
 pub use monitor::{spawn_watcher, MonitorWatcher, ServiceMonitor};
 pub use progress::{Progress, ProgressSink};
 pub use ring::{HashRing, DEFAULT_VNODES};
-pub use sampled::{
-    run_sampled_grid, run_sampled_grid_pit, SampledGrid, SampledPoint, SampledResult,
-};
+pub use sampled::{run_sampled_grid, SampledGrid, SampledPoint, SampledResult};
 pub use scale::RunScale;
 pub use serve::{
     serve_jsonl, serve_jsonl_observed, serve_spool, serve_spool_observed, ServeOptions,

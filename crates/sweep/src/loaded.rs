@@ -5,11 +5,10 @@
 //! exactly like [`SweepEngine`](crate::SweepEngine) — results are
 //! bit-identical for any worker-thread count; only scheduling varies.
 
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::OnceLock;
-
 use fc_sim::loaded::{self, LoadedConfig, LoadedPoint, STANDARD_INTERVALS};
 use fc_sim::DesignSpec;
+
+use crate::pool;
 
 /// Maps a trace-replay [`RunScale`](crate::RunScale) onto the matching
 /// loaded-run sizing — the single mapping shared by `fc_sweep --grid
@@ -75,36 +74,16 @@ pub fn run_loaded(grid: &LoadedGrid, threads: usize) -> Vec<LoadedResult> {
         .enumerate()
         .flat_map(|(d, _)| grid.intervals.iter().map(move |&i| (d, i)))
         .collect();
-    let slots: Vec<OnceLock<LoadedPoint>> = points.iter().map(|_| OnceLock::new()).collect();
-    let cursor = AtomicUsize::new(0);
-
-    let workers = threads.clamp(1, points.len().max(1));
-    if workers == 1 {
-        for (&(d, interval), slot) in points.iter().zip(&slots) {
-            let p = loaded::measure(&grid.designs[d], interval, &grid.config);
-            slot.set(p).expect("slot written once");
-        }
-    } else {
-        std::thread::scope(|scope| {
-            for _ in 0..workers {
-                scope.spawn(|| loop {
-                    let index = cursor.fetch_add(1, Ordering::Relaxed);
-                    let Some(&(d, interval)) = points.get(index) else {
-                        break;
-                    };
-                    let p = loaded::measure(&grid.designs[d], interval, &grid.config);
-                    slots[index].set(p).expect("slot written once");
-                });
-            }
-        });
-    }
+    let measured = pool::par_map(threads, &points, |&(d, interval)| {
+        loaded::measure(&grid.designs[d], interval, &grid.config)
+    });
 
     points
         .iter()
-        .zip(slots)
-        .map(|(&(d, _), slot)| LoadedResult {
+        .zip(measured)
+        .map(|(&(d, _), point)| LoadedResult {
             design: grid.designs[d],
-            point: slot.into_inner().expect("every point ran"),
+            point,
         })
         .collect()
 }

@@ -25,13 +25,13 @@
 //! are synthesized once and shared read-only — results are
 //! bit-identical for any worker-thread count.
 
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
 
 use fc_sim::{consolidation, ConsolidationReport, ScenarioSpec, SimConfig, SimReport, Simulation};
 use fc_trace::{ScenarioGenerator, TraceRecord};
 
 use crate::executor::SweepEngine;
+use crate::pool;
 use crate::scale::RunScale;
 use crate::spec::{SweepPoint, SweepSpec};
 use crate::store::PointKey;
@@ -264,12 +264,8 @@ pub fn run_mix(grid: &MixGrid, engine: &SweepEngine) -> Vec<MixResult> {
         grid.scenarios.iter().map(|_| OnceLock::new()).collect();
 
     let points = grid.points();
-    let slots: Vec<OnceLock<(Arc<SimReport>, f64, bool)>> =
-        points.iter().map(|_| OnceLock::new()).collect();
-    let cursor = AtomicUsize::new(0);
-
-    let run_point = |index: usize| {
-        let point = &points[index];
+    let indexed: Vec<(usize, &MixPoint)> = points.iter().enumerate().collect();
+    let outcomes = pool::par_map(engine.threads(), &indexed, |&(index, point)| {
         let key = point.key();
         let memoized = engine.store().get(&key).is_some();
         let started = std::time::Instant::now();
@@ -294,34 +290,12 @@ pub fn run_mix(grid: &MixGrid, engine: &SweepEngine) -> Vec<MixResult> {
             sim.run_records(meas.iter().cloned(), &snapshot)
         });
         (report, started.elapsed().as_secs_f64(), memoized)
-    };
-
-    let workers = engine.threads().clamp(1, points.len().max(1));
-    if workers == 1 {
-        for (index, slot) in slots.iter().enumerate() {
-            slot.set(run_point(index)).expect("slot written once");
-        }
-    } else {
-        std::thread::scope(|scope| {
-            for _ in 0..workers {
-                scope.spawn(|| loop {
-                    let index = cursor.fetch_add(1, Ordering::Relaxed);
-                    if index >= points.len() {
-                        break;
-                    }
-                    slots[index]
-                        .set(run_point(index))
-                        .expect("slot written once");
-                });
-            }
-        });
-    }
+    });
 
     points
         .into_iter()
-        .zip(slots)
-        .map(|(point, slot)| {
-            let (report, sim_secs, memoized) = slot.into_inner().expect("every point ran");
+        .zip(outcomes)
+        .map(|(point, (report, sim_secs, memoized))| {
             let solo: Vec<f64> = (0..point.config.cores as usize)
                 .map(|core| solo_ipc(&point, core))
                 .collect();

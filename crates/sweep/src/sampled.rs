@@ -2,13 +2,16 @@
 //! of a trace-replay grid.
 //!
 //! A [`SampledPoint`] is an ordinary [`SweepPoint`] plus a
-//! [`SamplePlan`]; [`run_sampled_grid`] executes a grid of them with
-//! the same discipline as the detailed executor — self-balancing
-//! shared-cursor workers, per-point seeds that are pure functions of
-//! the point, the shared [`TraceCache`](crate::TraceCache), and
-//! memoization in the engine's sampled [`ResultStore`] (the plan is
-//! folded into the FNV key, so a point sampled under two plans never
-//! aliases). Results are bit-identical for any worker-thread count.
+//! [`SamplePlan`]; [`run_sampled_grid`] executes a grid of them on the
+//! engine's worker pool with the detailed executor's discipline —
+//! per-point seeds that are pure functions of the point, the shared
+//! [`TraceCache`](crate::TraceCache), and memoization in the engine's
+//! sampled [`ResultStore`] (the plan is folded into the FNV key, so a
+//! point sampled under two plans never aliases). Dispatch is
+//! parallel-in-time: a point whose plan skips fans its measured
+//! periods out as independent tasks, each restoring the point's base
+//! checkpoint. Results are bit-identical for any worker-thread count,
+//! and to the sequential driver [`fc_sample::run_sampled`].
 //!
 //! Auto plans ([`SampledGrid::auto`]) derive each point's plan from
 //! its run sizing and its design's state memory
@@ -16,9 +19,8 @@
 //! skipping only in the long-trace regime, exhaustive warming when
 //! the trace is too short to skip safely.
 
-use std::collections::VecDeque;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex, OnceLock};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::{Arc, OnceLock};
 
 use fc_sample::{
     assemble_report, build_base, run_interval, run_sampled, run_sampled_stream, Checkpoint,
@@ -28,6 +30,7 @@ use fc_sim::Simulation;
 use fc_trace::{TraceGenerator, TraceRecord};
 
 use crate::executor::SweepEngine;
+use crate::pool::{self, TaskQueue};
 use crate::spec::{SweepPoint, SweepSpec};
 use crate::store::PointKey;
 
@@ -161,110 +164,20 @@ pub struct SampledResult {
     /// Its (possibly memoized) sampled report.
     pub report: Arc<SampledReport>,
     /// Seconds spent obtaining the report (near zero for memoized
-    /// points): one worker's wall clock on the sequential path, the
-    /// summed per-worker busy time for a parallel-in-time point (its
-    /// wall span would mostly measure *other* points interleaved in
-    /// the shared pool). Timing only — never part of the
-    /// deterministic result.
+    /// points): one worker's wall clock for a point run whole, the
+    /// summed per-worker busy time for a point split into interval
+    /// tasks (its wall span would mostly measure *other* points
+    /// interleaved in the shared pool). Timing only — never part of
+    /// the deterministic result.
     pub sim_secs: f64,
     /// Whether the report came from the sampled memo store.
     pub memoized: bool,
 }
 
-/// Runs every point of `grid` through `engine` (in parallel when the
-/// engine has >1 thread), returning results in grid order. Sampled
-/// reports memoize in the engine's sampled store under keys carrying
-/// the plan; traces come from the engine's shared [`TraceCache`]
-/// (slice path, free skips) with a streaming fallback for runs beyond
-/// the cache budget. Bit-identical for any thread count — the two
-/// trace paths replay identical record sequences.
-pub fn run_sampled_grid(grid: &SampledGrid, engine: &SweepEngine) -> Vec<SampledResult> {
-    let points = grid.points();
-    let progress = engine.progress_for(points.len());
-    let slots: Vec<OnceLock<(Arc<SampledReport>, f64, bool)>> =
-        points.iter().map(|_| OnceLock::new()).collect();
-    let cursor = AtomicUsize::new(0);
-
-    let run_point = |index: usize| {
-        let sp = &points[index];
-        let _point_span = fc_obs::trace::span_with("sampled-point", "sweep", || sp.label());
-        let key = sp.key();
-        let memoized = engine.sampled_store().get(&key).is_some();
-        let started = std::time::Instant::now();
-        let report = engine.sampled_store().get_or_compute(&key, || {
-            let p = &sp.point;
-            let (warmup, measured) = (p.warmup(), p.measured());
-            let mut sim = Simulation::new(p.config, p.design);
-            match engine.trace_cache().records(
-                p.workload,
-                p.config.cores,
-                p.seed(),
-                warmup + measured,
-            ) {
-                Some(records) => run_sampled(&mut sim, &records, warmup, measured, &sp.plan),
-                None => run_sampled_stream(
-                    &mut sim,
-                    TraceGenerator::new(p.workload, p.config.cores, p.seed()),
-                    warmup,
-                    measured,
-                    &sp.plan,
-                ),
-            }
-        });
-        progress.finish_point(&points[index].label(), memoized);
-        (report, started.elapsed().as_secs_f64(), memoized)
-    };
-
-    let workers = engine.threads().clamp(1, points.len().max(1));
-    if workers == 1 {
-        fc_obs::trace::set_lane_name("main");
-        for (index, slot) in slots.iter().enumerate() {
-            slot.set(run_point(index)).expect("slot written once");
-        }
-    } else {
-        std::thread::scope(|scope| {
-            let (run_point, cursor, slots, points) = (&run_point, &cursor, &slots, &points);
-            for worker in 0..workers {
-                scope.spawn(move || {
-                    fc_obs::trace::set_lane_name(&format!("worker-{worker}"));
-                    loop {
-                        let index = cursor.fetch_add(1, Ordering::Relaxed);
-                        if index >= points.len() {
-                            break;
-                        }
-                        slots[index]
-                            .set(run_point(index))
-                            .expect("slot written once");
-                    }
-                    // Explicit: a scoped join may land before TLS
-                    // destructors run, so the buffer drains here.
-                    fc_obs::trace::flush_thread();
-                });
-            }
-        });
-    }
-    progress.finish_run();
-    fc_obs::metrics::counter("sweep.sampled_points").add(points.len() as u64);
-
-    points
-        .iter()
-        .zip(slots)
-        .map(|(point, slot)| {
-            let (report, sim_secs, memoized) = slot.into_inner().expect("every point ran");
-            SampledResult {
-                point: *point,
-                report,
-                sim_secs,
-                memoized,
-            }
-        })
-        .collect()
-}
-
-/// One unit of work in the nested parallel-in-time pool: either a
-/// whole grid point (which may expand into interval tasks) or one
-/// measured period of an already-expanded point.
-enum PitTask {
+/// One unit of work in the sampled grid's nested pool: either a whole
+/// grid point (which may expand into interval tasks) or one measured
+/// period of an already-expanded point.
+enum Task {
     Point(usize),
     Interval { point: usize, k: u64 },
 }
@@ -283,56 +196,44 @@ struct PointWork {
     /// expansion to completion — becomes the point's `sim_secs`:
     /// interval tasks of *different* points interleave in one pool, so
     /// a point's wall span mostly measures other points' work. Busy
-    /// time keeps per-point costs comparable with the sequential
-    /// executor's (equal on one core, and a work measure on many).
-    busy_nanos: std::sync::atomic::AtomicU64,
+    /// time keeps per-point costs comparable across worker counts
+    /// (equal to the wall time on one worker, a work measure on many).
+    busy_nanos: AtomicU64,
 }
 
-/// Runs every point of `grid` with **parallel-in-time** dispatch:
-/// points *and* their measured periods drain from one shared pool, so
-/// a single long point keeps every worker busy instead of one. Points
-/// whose plan cannot be split (exhaustive plans carry state through
-/// the whole region) and points beyond the trace-cache budget
-/// (workers need random access into the slice) run sequentially
-/// inside the pool, so the result always covers the whole grid.
+/// Runs every point of `grid` through `engine` on its worker threads,
+/// returning results in grid order.
 ///
-/// Reports are **bit-identical** to [`run_sampled_grid`]'s for every
-/// `workers` count: interval samples merge in plan order through the
-/// same aggregation, and both paths compute the same pure per-period
-/// function from the same base checkpoint. Memoization therefore
-/// shares one store with the sequential path.
-pub fn run_sampled_grid_pit(
-    grid: &SampledGrid,
-    engine: &SweepEngine,
-    workers: usize,
-) -> Vec<SampledResult> {
+/// Dispatch is **parallel-in-time**: points *and* their measured
+/// periods drain from one shared pool, so a single long point keeps
+/// every worker busy instead of one. Points are queued first; a
+/// splittable point builds its base checkpoint and appends its periods
+/// at the back of the queue. Points whose plan cannot be split
+/// (exhaustive plans carry state through the whole region) and points
+/// beyond the trace-cache budget (workers need random access into the
+/// slice) run whole on one worker through [`run_sampled`] /
+/// [`run_sampled_stream`].
+///
+/// Reports are **bit-identical** for every thread count, and to
+/// [`run_sampled`] on the same records: interval samples merge in plan
+/// order through the same aggregation, and each period is the same
+/// pure function of the same base checkpoint. Sampled reports memoize
+/// in the engine's sampled store under keys carrying the plan.
+pub fn run_sampled_grid(grid: &SampledGrid, engine: &SweepEngine) -> Vec<SampledResult> {
     let points = grid.points();
     let progress = engine.progress_for(points.len());
-    let final_slots: Vec<OnceLock<(Arc<SampledReport>, f64, bool)>> =
+    let finished: Vec<OnceLock<(Arc<SampledReport>, f64, bool)>> =
         points.iter().map(|_| OnceLock::new()).collect();
     let works: Vec<OnceLock<PointWork>> = points.iter().map(|_| OnceLock::new()).collect();
-    let queue: Mutex<VecDeque<PitTask>> =
-        Mutex::new((0..points.len()).map(PitTask::Point).collect());
-    let ready = Condvar::new();
-    let pending = AtomicUsize::new(points.len());
 
-    // Finishing a point: record its result, tick progress, and wake
-    // any workers parked on an empty queue once the last point lands.
-    // The wakeup must happen while holding the queue lock — a worker
-    // checks "queue empty && pending > 0" under that lock before
-    // waiting, so notifying under it cannot race with the check.
     let finish = |index: usize, report: Arc<SampledReport>, secs: f64, memoized: bool| {
-        final_slots[index]
+        finished[index]
             .set((report, secs, memoized))
             .expect("point finished once");
         progress.finish_point(&points[index].label(), memoized);
-        if pending.fetch_sub(1, Ordering::AcqRel) == 1 {
-            let _guard = queue.lock().expect("pit queue");
-            ready.notify_all();
-        }
     };
 
-    let run_point = |index: usize| {
+    let run_point = |index: usize, queue: &TaskQueue<Task>| {
         let sp = &points[index];
         let _point_span = fc_obs::trace::span_with("sampled-point", "sweep", || sp.label());
         let key = sp.key();
@@ -360,18 +261,13 @@ pub fn run_sampled_grid_pit(
                     records,
                     slots: (0..periods).map(|_| OnceLock::new()).collect(),
                     remaining: AtomicUsize::new(periods as usize),
-                    busy_nanos: std::sync::atomic::AtomicU64::new(
-                        started.elapsed().as_nanos() as u64
-                    ),
+                    busy_nanos: AtomicU64::new(started.elapsed().as_nanos() as u64),
                 };
                 assert!(works[index].set(work).is_ok(), "point expanded once");
-                let mut q = queue.lock().expect("pit queue");
-                q.extend((0..periods).map(|k| PitTask::Interval { point: index, k }));
-                ready.notify_all();
+                queue.extend((0..periods).map(|k| Task::Interval { point: index, k }));
             }
             // Unsplittable (continuous plan, streaming fallback, or a
-            // degenerate region): run the whole point on this worker,
-            // exactly as the sequential grid executor would.
+            // degenerate region): run the whole point on this worker.
             records => {
                 let report = engine.sampled_store().get_or_compute(&key, || {
                     let mut sim = Simulation::new(p.config, p.design);
@@ -427,46 +323,22 @@ pub fn run_sampled_grid_pit(
         }
     };
 
-    // No upper clamp against the point count: one point can fan out
-    // into many interval tasks, so more workers than points is useful.
-    let worker_count = workers.max(1);
-    std::thread::scope(|scope| {
-        let (run_point, run_interval_task, queue, ready, pending) =
-            (&run_point, &run_interval_task, &queue, &ready, &pending);
-        for worker in 0..worker_count {
-            scope.spawn(move || {
-                fc_obs::trace::set_lane_name(&format!("worker-{worker}"));
-                loop {
-                    let task = {
-                        let mut q = queue.lock().expect("pit queue");
-                        loop {
-                            if let Some(task) = q.pop_front() {
-                                break Some(task);
-                            }
-                            if pending.load(Ordering::Acquire) == 0 {
-                                break None;
-                            }
-                            q = ready.wait(q).expect("pit queue");
-                        }
-                    };
-                    match task {
-                        Some(PitTask::Point(index)) => run_point(index),
-                        Some(PitTask::Interval { point, k }) => run_interval_task(point, k),
-                        None => break,
-                    }
-                }
-                // Explicit: a scoped join may land before TLS
-                // destructors run, so the trace buffer drains here.
-                fc_obs::trace::flush_thread();
-            });
-        }
-    });
+    // No clamp against the point count: one point can fan out into
+    // many interval tasks, so more workers than points is useful.
+    pool::run_nested(
+        engine.threads(),
+        (0..points.len()).map(Task::Point),
+        |task, queue| match task {
+            Task::Point(index) => run_point(index, queue),
+            Task::Interval { point, k } => run_interval_task(point, k),
+        },
+    );
     progress.finish_run();
     fc_obs::metrics::counter("sweep.sampled_points").add(points.len() as u64);
 
     points
         .iter()
-        .zip(final_slots)
+        .zip(finished)
         .map(|(point, slot)| {
             let (report, sim_secs, memoized) = slot.into_inner().expect("every point ran");
             SampledResult {
@@ -552,8 +424,8 @@ mod tests {
     }
 
     // A grid whose plans actually skip (period 1000, fw 200, dw 100,
-    // interval 100 → skip 600), so the PIT path expands points into
-    // interval tasks instead of delegating.
+    // interval 100 → skip 600), so points expand into interval tasks
+    // instead of running whole.
     fn skipping_grid() -> SampledGrid {
         let spec = SweepSpec::new(RunScale::tiny()).grid(
             &[WorkloadKind::WebSearch, WorkloadKind::DataServing],
@@ -565,34 +437,48 @@ mod tests {
         )
     }
 
+    /// Each point through the sequential driver, one fresh simulation
+    /// per point: the reference every pool schedule must reproduce.
+    fn sequential_reference(grid: &SampledGrid) -> Vec<SampledReport> {
+        grid.points()
+            .iter()
+            .map(|sp| {
+                let p = &sp.point;
+                let records: Vec<TraceRecord> =
+                    TraceGenerator::new(p.workload, p.config.cores, p.seed())
+                        .take((p.warmup() + p.measured()) as usize)
+                        .collect();
+                let mut sim = Simulation::new(p.config, p.design);
+                run_sampled(&mut sim, &records, p.warmup(), p.measured(), &sp.plan)
+            })
+            .collect()
+    }
+
+    fn assert_matches(results: &[SampledResult], reference: &[SampledReport], what: &str) {
+        assert_eq!(results.len(), reference.len());
+        for (r, want) in results.iter().zip(reference) {
+            assert_eq!(*r.report, *want, "{}: {what}", r.point.label());
+        }
+    }
+
     #[test]
     fn pit_grid_is_bit_identical_to_sequential_at_any_worker_count() {
         let grid = skipping_grid();
-        let seq = run_sampled_grid(&grid, &SweepEngine::new().with_threads(1).quiet());
-        for workers in [1, 2, 5, 9] {
-            let pit = run_sampled_grid_pit(&grid, &SweepEngine::new().quiet(), workers);
-            for (a, b) in seq.iter().zip(&pit) {
-                assert_eq!(a.point, b.point);
-                assert_eq!(
-                    *a.report,
-                    *b.report,
-                    "{} diverged at {workers} workers",
-                    a.point.label()
-                );
-            }
+        let reference = sequential_reference(&grid);
+        for threads in [1, 2, 5, 9] {
+            let results =
+                run_sampled_grid(&grid, &SweepEngine::new().with_threads(threads).quiet());
+            assert_matches(&results, &reference, &format!("{threads} threads"));
         }
     }
 
     #[test]
     fn pit_grid_handles_unsplittable_points_in_pool() {
-        // Exhaustive plans can't split in time; the PIT pool must run
-        // them sequentially and still match the plain executor.
+        // Exhaustive plans can't split in time; the pool must run them
+        // whole and still match the sequential driver.
         let grid = tiny_grid();
-        let seq = run_sampled_grid(&grid, &SweepEngine::new().with_threads(1).quiet());
-        let pit = run_sampled_grid_pit(&grid, &SweepEngine::new().quiet(), 4);
-        for (a, b) in seq.iter().zip(&pit) {
-            assert_eq!(*a.report, *b.report, "{}", a.point.label());
-        }
+        let results = run_sampled_grid(&grid, &SweepEngine::new().with_threads(4).quiet());
+        assert_matches(&results, &sequential_reference(&grid), "exhaustive plan");
     }
 
     #[test]
@@ -600,14 +486,14 @@ mod tests {
         let grid = skipping_grid();
         // Interval tasks must reuse the point's Arc'd slice, never
         // re-synthesize: fanning out across workers synthesizes
-        // exactly as many records as a lone sequential worker.
-        let seq_engine = SweepEngine::new().with_threads(1).quiet();
-        run_sampled_grid(&grid, &seq_engine);
-        let pit_engine = SweepEngine::new().quiet();
-        run_sampled_grid_pit(&grid, &pit_engine, 6);
+        // exactly as many records as a lone worker.
+        let one = SweepEngine::new().with_threads(1).quiet();
+        run_sampled_grid(&grid, &one);
+        let many = SweepEngine::new().with_threads(6).quiet();
+        run_sampled_grid(&grid, &many);
         assert_eq!(
-            pit_engine.trace_cache().records_synthesized(),
-            seq_engine.trace_cache().records_synthesized(),
+            many.trace_cache().records_synthesized(),
+            one.trace_cache().records_synthesized(),
             "interval workers re-synthesized trace records"
         );
     }
@@ -615,17 +501,15 @@ mod tests {
     #[test]
     fn pit_grid_memoizes_into_the_shared_store() {
         let grid = skipping_grid();
-        let engine = SweepEngine::new().quiet();
-        let first = run_sampled_grid_pit(&grid, &engine, 4);
+        let engine = SweepEngine::new().with_threads(4).quiet();
+        let first = run_sampled_grid(&grid, &engine);
         assert_eq!(engine.sampled_store().computed(), 4);
-        // Second PIT run: every point short-circuits on the memo.
-        let again = run_sampled_grid_pit(&grid, &engine, 4);
+        assert!(first.iter().all(|r| !r.memoized));
+        // Second run: every point short-circuits on the memo.
+        let again = run_sampled_grid(&grid, &engine);
         assert_eq!(engine.sampled_store().computed(), 4);
-        assert!(again.iter().all(|r| r.memoized));
-        // The sequential path reads the same store — same keys.
-        let seq = run_sampled_grid(&grid, &engine);
-        assert_eq!(engine.sampled_store().computed(), 4);
-        for (a, b) in first.iter().zip(&seq) {
+        for (a, b) in first.iter().zip(&again) {
+            assert!(b.memoized);
             assert!(Arc::ptr_eq(&a.report, &b.report));
         }
     }
@@ -633,11 +517,12 @@ mod tests {
     #[test]
     fn pit_grid_streaming_fallback_covers_the_grid() {
         let grid = skipping_grid();
-        let seq = run_sampled_grid(&grid, &SweepEngine::new().with_threads(1).quiet());
-        let pit = run_sampled_grid_pit(&grid, &SweepEngine::new().with_trace_budget(0).quiet(), 4);
-        for (a, b) in seq.iter().zip(&pit) {
-            assert_eq!(*a.report, *b.report, "{}", a.point.label());
-        }
+        let engine = SweepEngine::new()
+            .with_threads(4)
+            .with_trace_budget(0)
+            .quiet();
+        let results = run_sampled_grid(&grid, &engine);
+        assert_matches(&results, &sequential_reference(&grid), "streaming fallback");
     }
 
     #[test]

@@ -20,8 +20,11 @@ use std::sync::{Mutex, OnceLock};
 
 use fc_obs::{metrics, trace};
 use fc_sim::json::JsonValue;
-use fc_sim::DesignSpec;
-use fc_sweep::{emit, run_sampled_grid, RunScale, SamplePlan, SampledGrid, SweepEngine, SweepSpec};
+use fc_sim::{DesignSpec, ScenarioSpec, SimConfig};
+use fc_sweep::{
+    emit, run_mix, run_sampled_grid, MixGrid, RunScale, SamplePlan, SampledGrid, SweepEngine,
+    SweepSpec,
+};
 use fc_trace::WorkloadKind;
 
 /// Serializes tests that enable/drain the global trace buffer.
@@ -100,6 +103,25 @@ fn parse_events(chrome_json: &str) -> Vec<Event> {
         .collect()
 }
 
+/// The `thread_name` metadata of a Chrome trace: lane id → name.
+fn lane_names(chrome_json: &str) -> std::collections::BTreeMap<u64, String> {
+    let parsed = JsonValue::parse(chrome_json).expect("trace JSON parses");
+    let JsonValue::Arr(events) = parsed.field("traceEvents").unwrap() else {
+        panic!("traceEvents must be an array");
+    };
+    events
+        .iter()
+        .filter(|e| e.field("ph").unwrap().as_str().unwrap() == "M")
+        .map(|e| {
+            let name = e.field("args").unwrap().field("name").unwrap();
+            (
+                e.field("tid").unwrap().as_u64().unwrap(),
+                name.as_str().unwrap().to_string(),
+            )
+        })
+        .collect()
+}
+
 #[test]
 fn chrome_trace_is_valid_and_structured() {
     let _gate = gate().lock().unwrap();
@@ -169,6 +191,45 @@ fn chrome_trace_is_valid_and_structured() {
                 lookup.ts
             );
         }
+    }
+
+    // The mix grid runs on the same pool: a 2-worker run records one
+    // `detailed-sim` span per fresh point (solo baselines and mix
+    // points alike), each on a lane named `worker-N` and flushed
+    // before the pool returns.
+    let grid = MixGrid::new(
+        vec![ScenarioSpec::split(
+            WorkloadKind::DataServing,
+            WorkloadKind::MapReduce,
+            4,
+        )],
+        vec![DesignSpec::baseline(), DesignSpec::footprint(64)],
+        RunScale::tiny(),
+    )
+    .with_config(SimConfig::small());
+    let engine = SweepEngine::new().with_threads(2).quiet();
+    let _ = trace::take_events();
+    trace::enable();
+    run_mix(&grid, &engine);
+    trace::disable();
+
+    let json = trace::chrome_trace_json();
+    let lanes = lane_names(&json);
+    let sims: Vec<u64> = parse_events(&json)
+        .iter()
+        .filter(|e| e.ph == "X" && e.name == "detailed-sim")
+        .map(|e| e.tid)
+        .collect();
+    assert_eq!(sims.len() as u64, engine.store().computed());
+    for tid in sims {
+        let name = lanes
+            .get(&tid)
+            .unwrap_or_else(|| panic!("lane {tid} is unnamed"));
+        assert!(
+            name.strip_prefix("worker-")
+                .is_some_and(|n| n.parse::<usize>().is_ok()),
+            "mix detailed-sim on lane `{name}`"
+        );
     }
 }
 

@@ -1,11 +1,12 @@
 //! Acceptance tests of the parallel-in-time sampled-simulation layer
-//! (`fc_sample::run_sampled_pit` + the sweep layer's interval-level
-//! dispatcher):
+//! (the sweep layer's `run_sampled_grid`, which splits each skipping
+//! point into measured periods dispatched across worker threads):
 //!
 //! * **Bit-equality** — for every design family in the registry, on
-//!   two workloads, a sampled grid dispatched interval-by-interval
-//!   across worker threads is bit-identical to the sequential run at
-//!   any worker count.
+//!   two workloads, the sampled grid at 1, 2 and 6 engine threads is
+//!   bit-identical to the sequential driver `fc_sample::run_sampled`
+//!   run point by point on the same cached records, for a skipping
+//!   plan and for an exhaustive one (whose points run unsplit).
 //! * **Checkpoint transparency** — a checkpoint capture/restore
 //!   round-trip at a functional-replay boundary is invisible: the
 //!   continued run matches an uninterrupted one bit for bit
@@ -20,11 +21,12 @@
 //! Everything here is deterministic: fixed seeds, fixed plans, no
 //! wall-clock assertions.
 
+use fc_sample::{run_sampled, SampledReport};
 use fc_sim::registry::DESIGN_FAMILIES;
 use fc_sim::{ReportSnapshot, SimReport, Simulation};
 use fc_sweep::{
-    run_sampled_grid, run_sampled_grid_pit, DesignSpec, RunScale, SamplePlan, SampledGrid,
-    SimConfig, SweepEngine, SweepSpec, WorkloadKind,
+    run_sampled_grid, DesignSpec, RunScale, SamplePlan, SampledGrid, SimConfig, SweepEngine,
+    SweepSpec, WorkloadKind,
 };
 use fc_trace::{TraceGenerator, TraceRecord};
 use proptest::prelude::*;
@@ -37,37 +39,66 @@ fn all_families() -> Vec<DesignSpec> {
 }
 
 /// A plan that actually skips (period 1000 = skip 600, functional 200,
-/// detailed 100, measured 100), so the parallel-in-time path engages
-/// rather than delegating to the continuous driver.
+/// detailed 100, measured 100), so points split into interval tasks
+/// rather than running whole.
 fn skipping_plan() -> SamplePlan {
     SamplePlan::new(1_000, 200, 100, 100).with_warmup_window(1_000)
 }
 
-#[test]
-fn pit_grids_are_bit_identical_for_every_design_family() {
+/// Every family on Web Search and Data Serving under `plan`.
+fn family_grid(plan: SamplePlan) -> SampledGrid {
     let spec = SweepSpec::new(RunScale::tiny())
         .grid(
             &[WorkloadKind::WebSearch, WorkloadKind::DataServing],
             &all_families(),
         )
         .dedup();
-    let grid = SampledGrid::with_plan(&spec, skipping_plan());
-    let seq = run_sampled_grid(&grid, &SweepEngine::new().with_threads(1).quiet());
-    assert_eq!(seq.len(), grid.len());
-    assert!(
-        seq.iter().all(|r| r.report.plan.skip() > 0),
-        "the plan must skip, or nothing splits in time"
-    );
-    for workers in [2, 6] {
-        let pit = run_sampled_grid_pit(&grid, &SweepEngine::new().with_threads(1).quiet(), workers);
-        for (a, b) in seq.iter().zip(&pit) {
-            assert_eq!(a.point, b.point, "result order must match grid order");
-            assert_eq!(
-                *a.report,
-                *b.report,
-                "{}: {workers}-worker parallel-in-time run diverged from sequential",
-                a.point.label()
-            );
+    SampledGrid::with_plan(&spec, plan)
+}
+
+/// Each point through the sequential driver, on the records the
+/// engine's trace cache holds for it.
+fn sequential_reference(grid: &SampledGrid, engine: &SweepEngine) -> Vec<SampledReport> {
+    grid.points()
+        .iter()
+        .map(|sp| {
+            let p = &sp.point;
+            let (warmup, measured) = (p.warmup(), p.measured());
+            let records = engine
+                .trace_cache()
+                .records(p.workload, p.config.cores, p.seed(), warmup + measured)
+                .expect("tiny runs fit the trace cache");
+            let mut sim = Simulation::new(p.config, p.design);
+            run_sampled(&mut sim, &records, warmup, measured, &sp.plan)
+        })
+        .collect()
+}
+
+#[test]
+fn pit_grids_are_bit_identical_for_every_design_family() {
+    // The skipping plan splits every point into interval tasks; the
+    // exhaustive plan carries state through the whole region, so every
+    // point runs unsplit and replays every record.
+    for plan in [skipping_plan(), SamplePlan::exhaustive(500, 100, 100)] {
+        let grid = family_grid(plan);
+        let reference = sequential_reference(&grid, &SweepEngine::new().with_threads(1).quiet());
+        for (sp, want) in grid.points().iter().zip(&reference) {
+            let total = sp.point.warmup() + sp.point.measured();
+            assert_eq!(plan.skip() == 0, want.replayed_records == total, "{plan:?}");
+        }
+        for threads in [1, 2, 6] {
+            let results =
+                run_sampled_grid(&grid, &SweepEngine::new().with_threads(threads).quiet());
+            assert_eq!(results.len(), grid.len());
+            for ((r, sp), want) in results.iter().zip(grid.points()).zip(&reference) {
+                assert_eq!(r.point, *sp, "result order must match grid order");
+                assert_eq!(
+                    *r.report,
+                    *want,
+                    "{}: {threads}-thread grid diverged from the sequential driver ({plan:?})",
+                    r.point.label()
+                );
+            }
         }
     }
 }
@@ -84,7 +115,7 @@ fn pit_dispatch_advances_the_checkpoint_metric_pair() {
         .sum();
     assert!(periods > 0);
     let before = fc_obs::metrics::snapshot();
-    run_sampled_grid_pit(&grid, &SweepEngine::new().with_threads(1).quiet(), 3);
+    run_sampled_grid(&grid, &SweepEngine::new().with_threads(3).quiet());
     let delta = fc_obs::metrics::snapshot().delta(&before);
     // Lower bounds, not equality: the metrics registry is
     // process-wide and other tests in this binary dispatch too.
@@ -108,8 +139,11 @@ fn pit_estimates_meet_the_sequential_accuracy_bounds() {
         &[DesignSpec::footprint(8), DesignSpec::page(8)],
     );
     let grid = SampledGrid::auto(&spec);
-    let engine = SweepEngine::new().with_trace_budget(2_500_000).quiet();
-    let sampled = run_sampled_grid_pit(&grid, &engine, 4);
+    let engine = SweepEngine::new()
+        .with_threads(4)
+        .with_trace_budget(2_500_000)
+        .quiet();
+    let sampled = run_sampled_grid(&grid, &engine);
     let full = engine.run_spec(&spec);
     for (s, f) in sampled.iter().zip(&full) {
         let label = s.point.label();
