@@ -717,9 +717,12 @@ fn run_sampled_mode(
     grid.prefetch_traces(&engine);
     let synth_secs = started.elapsed().as_secs_f64();
     if synth_secs > 0.01 {
+        let synthesized = engine.trace_cache().records_synthesized();
         eprintln!(
-            "[fc_sweep] synthesized {} shared trace records in {synth_secs:.2}s",
-            engine.trace_cache().records_synthesized()
+            "[fc_sweep] synthesized {synthesized} shared trace records in {synth_secs:.2}s \
+             ({:.0} ns/record, {} worker(s))",
+            synth_secs * 1e9 / synthesized.max(1) as f64,
+            engine.trace_cache().workers()
         );
     }
     let started = Instant::now();

@@ -70,9 +70,11 @@ impl SweepEngine {
         }
     }
 
-    /// Sets the worker-thread count (1 = fully sequential).
+    /// Sets the worker-thread count (1 = fully sequential), trace
+    /// synthesis included.
     pub fn with_threads(mut self, threads: usize) -> Self {
         self.threads = threads.max(1);
+        self.traces.set_workers(self.threads);
         self
     }
 
@@ -89,6 +91,7 @@ impl SweepEngine {
     /// Caps the per-workload trace cache at `budget_records` records.
     pub fn with_trace_budget(mut self, budget_records: usize) -> Self {
         self.traces = Arc::new(TraceCache::new(budget_records));
+        self.traces.set_workers(self.threads);
         self
     }
 

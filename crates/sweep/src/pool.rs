@@ -1,6 +1,6 @@
 //! The one worker pool every grid runner shares.
 //!
-//! Two forms over the same lanes:
+//! Three forms over the same lanes:
 //!
 //! * [`par_map`] — a flat map: workers claim items from a shared
 //!   cursor (an idle worker takes the next unclaimed item, so uneven
@@ -10,13 +10,18 @@
 //!   more tasks at the back (parallel-in-time: a sampled point expands
 //!   into its measured periods). The pool drains until no task is
 //!   queued or running.
+//! * [`synth_jobs`] — a batch of indexed jobs (a windowed trace fill's
+//!   phase) run by the calling thread plus helper threads. It may be
+//!   called from inside a worker lane and never renames its caller.
 //!
-//! With one worker both forms run inline on the calling thread (lane
-//! `main`), so a one-thread caller never pays for a thread spawn.
-//! Otherwise each worker runs on its own scoped thread, on a trace
-//! lane named `worker-N`, and drains its trace buffer as its last act
-//! (a scoped join may land before TLS destructors run). A panicking
-//! task propagates out of the pool with its original payload.
+//! With one worker every form runs inline on the calling thread, so a
+//! one-thread caller never pays for a thread spawn; `par_map` and
+//! `run_nested` then name the caller's lane `main`. Otherwise each
+//! spawned worker runs on its own scoped thread, on a trace lane named
+//! `worker-N` (`synth_jobs` helpers: `synth-N`), and drains its trace
+//! buffer as its last act (a scoped join may land before TLS
+//! destructors run). A panicking task propagates out of the pool with
+//! its original payload.
 //!
 //! Scheduling varies with the worker count; results must not. Callers
 //! keep that promise by making every task a pure function of its
@@ -30,33 +35,67 @@ use fc_obs::trace;
 
 /// Runs `lane` on `workers` lanes and returns each lane's output:
 /// inline on the caller (lane `main`) for one worker, else on scoped
-/// threads `worker-0..N`. The only place the crate spawns grid work.
+/// threads `worker-0..N`.
 fn lanes<L: Send>(workers: usize, lane: impl Fn() -> L + Sync) -> Vec<L> {
     if workers <= 1 {
         trace::set_lane_name("main");
         return vec![lane()];
     }
+    spawn_lanes("worker", workers, false, lane)
+}
+
+/// Runs `lane` on `spawned` scoped threads with trace lanes
+/// `{prefix}-0..`, each flushing its trace buffer as its last act, and
+/// — when `on_caller` — once more on the calling thread, whose lane
+/// keeps its name. Returns every run's output, the caller's first.
+/// The only place the crate spawns threads.
+fn spawn_lanes<L: Send>(
+    prefix: &str,
+    spawned: usize,
+    on_caller: bool,
+    lane: impl Fn() -> L + Sync,
+) -> Vec<L> {
     std::thread::scope(|scope| {
         let lane = &lane;
-        let handles: Vec<_> = (0..workers)
-            .map(|worker| {
+        let handles: Vec<_> = (0..spawned)
+            .map(|index| {
                 scope.spawn(move || {
-                    trace::set_lane_name(&format!("worker-{worker}"));
+                    trace::set_lane_name(&format!("{prefix}-{index}"));
                     let out = lane();
                     trace::flush_thread();
                     out
                 })
             })
             .collect();
-        handles
-            .into_iter()
-            .map(|handle| {
+        let mine = on_caller.then(lane);
+        mine.into_iter()
+            .chain(handles.into_iter().map(|handle| {
                 handle
                     .join()
                     .unwrap_or_else(|p| std::panic::resume_unwind(p))
-            })
+            }))
             .collect()
     })
+}
+
+/// Calls `job(i)` once for every `i` in `0..jobs` on the calling thread
+/// plus up to `workers - 1` helper threads (lanes `synth-N`), which
+/// claim jobs from a shared cursor. Returns once every job returned.
+pub(crate) fn synth_jobs(workers: usize, jobs: usize, job: &(dyn Fn(usize) + Sync)) {
+    let cursor = AtomicUsize::new(0);
+    let lane = || loop {
+        let index = cursor.fetch_add(1, Ordering::Relaxed);
+        if index >= jobs {
+            break;
+        }
+        job(index);
+    };
+    let helpers = workers.min(jobs).saturating_sub(1);
+    if helpers == 0 {
+        lane();
+    } else {
+        spawn_lanes("synth", helpers, true, lane);
+    }
 }
 
 /// Maps `f` over `items` on up to `workers` lanes (clamped to the item
@@ -223,6 +262,30 @@ mod tests {
         let nested = nested.into_inner().unwrap();
         assert_eq!(nested.len(), 4);
         assert!(nested.iter().all(|&id| id == caller));
+    }
+
+    #[test]
+    fn synth_jobs_run_each_job_once() {
+        let caller = std::thread::current().id();
+        for (workers, jobs) in [(1, 5), (2, 17), (3, 4), (8, 3), (4, 0)] {
+            let runs: Vec<AtomicU32> = (0..jobs).map(|_| AtomicU32::new(0)).collect();
+            let threads = Mutex::new(Vec::new());
+            synth_jobs(workers, jobs, &|i| {
+                runs[i].fetch_add(1, Ordering::Relaxed);
+                threads.lock().unwrap().push(std::thread::current().id());
+            });
+            assert!(runs.iter().all(|r| r.load(Ordering::Relaxed) == 1));
+            let threads = threads.into_inner().unwrap();
+            if workers == 1 {
+                assert!(threads.iter().all(|&id| id == caller));
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "job 2 failed")]
+    fn job_panic_propagates() {
+        synth_jobs(3, 6, &|i| assert!(i != 2, "job {i} failed"));
     }
 
     #[test]

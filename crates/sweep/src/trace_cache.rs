@@ -8,6 +8,11 @@
 //! out shared slices, falling back to streaming synthesis for runs
 //! whose record budget would not fit in memory.
 //!
+//! Synthesis itself is parallel: a long fill advances the stream's
+//! per-core generators on the crate's worker pool and merges them by
+//! (time, core) ([`TraceGenerator::fill`]), which yields the very
+//! records a sequential fill would, at any worker count.
+//!
 //! Memory is bounded twice: a per-entry budget (requests beyond it
 //! stream instead of caching) and an aggregate budget across entries
 //! (least-recently-used streams are evicted once the sweep moves on to
@@ -15,10 +20,13 @@
 //! finish, so eviction never invalidates a running simulation).
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 
+use fc_trace::synth::Workers;
 use fc_trace::{TraceGenerator, TraceRecord, WorkloadKind};
+
+use crate::pool;
 
 type EntryKey = (WorkloadKind, u8, u64);
 
@@ -40,6 +48,20 @@ struct Index {
     clock: u64,
 }
 
+/// The crate's pool as the executor of a windowed fill: the calling
+/// thread plus helper lanes `synth-N`.
+struct SynthWorkers(usize);
+
+impl Workers for SynthWorkers {
+    fn count(&self) -> usize {
+        self.0
+    }
+
+    fn run(&self, jobs: usize, job: &(dyn Fn(usize) + Sync)) {
+        pool::synth_jobs(self.0, jobs, job);
+    }
+}
+
 /// A concurrent per-(workload, cores, seed) trace prefix cache.
 pub struct TraceCache {
     budget_records: usize,
@@ -47,6 +69,7 @@ pub struct TraceCache {
     index: Mutex<Index>,
     synthesized: AtomicU64,
     shared: AtomicU64,
+    workers: AtomicUsize,
 }
 
 impl TraceCache {
@@ -67,14 +90,31 @@ impl TraceCache {
     }
 
     /// A cache with explicit per-entry and aggregate record budgets.
+    /// Fills use every available core; a [`SweepEngine`]'s cache uses
+    /// the engine's thread count instead.
+    ///
+    /// [`SweepEngine`]: crate::SweepEngine
     pub fn with_aggregate_budget(budget_records: usize, aggregate_budget_records: usize) -> Self {
+        let workers = std::thread::available_parallelism().map_or(1, |n| n.get());
         Self {
             budget_records,
             aggregate_budget_records: aggregate_budget_records.max(budget_records),
             index: Mutex::new(Index::default()),
             synthesized: AtomicU64::new(0),
             shared: AtomicU64::new(0),
+            workers: AtomicUsize::new(workers),
         }
+    }
+
+    /// Sets how many workers a fill uses (1 = the calling thread only).
+    /// The records are the same at any count.
+    pub(crate) fn set_workers(&self, workers: usize) {
+        self.workers.store(workers.max(1), Ordering::Relaxed);
+    }
+
+    /// How many workers a fill uses.
+    pub fn workers(&self) -> usize {
+        self.workers.load(Ordering::Relaxed)
     }
 
     /// The shared record prefix of length `len` for a workload stream,
@@ -113,10 +153,7 @@ impl TraceCache {
             // Readers holding earlier Arcs keep their (shorter) prefix;
             // `make_mut` clones only while such readers exist.
             let records = Arc::make_mut(records);
-            records.reserve(missing);
-            for _ in 0..missing {
-                records.push(generator.next().expect("generator is infinite"));
-            }
+            generator.fill(records, missing, &SynthWorkers(self.workers()));
             self.synthesized
                 .fetch_add(missing as u64, Ordering::Relaxed);
             let new_len = records.len();
@@ -197,6 +234,32 @@ mod tests {
             .expect("within budget");
         assert_eq!(&long[..100], &short[..]);
         assert_eq!(cache.records_synthesized(), 500);
+    }
+
+    #[test]
+    fn windowed_fills_extend_the_prefix_exactly() {
+        use fc_trace::synth::WINDOW;
+        let lens = [100, 500, 3 * WINDOW + 7];
+        let fresh: Vec<_> = TraceGenerator::new(WorkloadKind::WebSearch, 16, 9)
+            .take(lens[2])
+            .collect();
+        for workers in [1, 4] {
+            let cache = TraceCache::new(4 * WINDOW);
+            cache.set_workers(workers);
+            for len in lens {
+                let records = cache
+                    .records(WorkloadKind::WebSearch, 16, 9, len as u64)
+                    .expect("within budget");
+                assert_eq!(records.len(), len, "{workers} workers");
+                assert!(
+                    records[..] == fresh[..len],
+                    "{workers} workers, {len} records"
+                );
+                // Window overshoot stays in the generator, uncounted.
+                assert_eq!(cache.records_synthesized(), len as u64);
+                assert_eq!(cache.resident_records(), len);
+            }
+        }
     }
 
     #[test]

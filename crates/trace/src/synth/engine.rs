@@ -7,6 +7,14 @@
 //! how long the page stays cached — which is how the Figure 4
 //! density-vs-capacity growth *emerges* from the model instead of being
 //! baked in.
+//!
+//! **Merge rule.** The cores share nothing: each has its own RNG,
+//! classes and visit heap, and its record times strictly increase. The
+//! stream emits from the core with the earliest next time, ties going
+//! to the lowest core index, so the stream is every core's records
+//! sorted by (time, core). Any prefix is therefore "every core's records
+//! below some horizon, sorted by (time, core)" — the property the
+//! windowed parallel fill ([`TraceGenerator::fill`]) builds on.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -71,7 +79,11 @@ impl RuntimeClass {
 /// One core's event-driven visit schedule. Crate-visible so the
 /// scenario generator (`crate::scenario`) can compose per-core engines
 /// running *different* workloads into one interleaved stream.
+///
+/// Aligned to its own cache-line pair: a windowed fill advances
+/// neighbouring cores on different threads.
 #[derive(Debug)]
+#[repr(align(128))]
 pub(crate) struct CoreEngine {
     core: u8,
     seed: u64,
@@ -216,6 +228,18 @@ impl CoreEngine {
         self.classes.len()
     }
 
+    /// Expected records per instruction: each class keeps `concurrency`
+    /// visits alive, each touching once per `interval`; a core emits at
+    /// most one record per instruction.
+    pub(crate) fn rate(&self) -> f64 {
+        let rate: f64 = self
+            .classes
+            .iter()
+            .map(|c| c.concurrency as f64 / c.interval as f64)
+            .sum();
+        rate.min(1.0)
+    }
+
     /// Emits this core's next record.
     pub(crate) fn emit(&mut self) -> TraceRecord {
         let Reverse((t, slot)) = self.heap.pop().expect("core heap never empties");
@@ -300,7 +324,15 @@ impl CoreEngine {
 /// ```
 #[derive(Debug)]
 pub struct TraceGenerator {
-    cores: Vec<CoreEngine>,
+    pub(super) cores: Vec<CoreEngine>,
+    /// Window overshoot of the last [`fill`](Self::fill): records that
+    /// precede, by (time, core), everything the cores will still emit.
+    /// `spill[spill_at..]` is handed out before any core advances.
+    pub(super) spill: Vec<TraceRecord>,
+    pub(super) spill_at: usize,
+    /// Records per instruction across all cores: sizes the next
+    /// window's time span. Only speed depends on it, never the stream.
+    pub(super) rate: f64,
 }
 
 impl TraceGenerator {
@@ -330,7 +362,13 @@ impl TraceGenerator {
                 e.core
             );
         }
-        Self { cores: engines }
+        let rate = engines.iter().map(CoreEngine::rate).sum();
+        Self {
+            cores: engines,
+            spill: Vec::new(),
+            spill_at: 0,
+            rate,
+        }
     }
 
     /// Number of cores in the stream.
@@ -343,6 +381,10 @@ impl Iterator for TraceGenerator {
     type Item = TraceRecord;
 
     fn next(&mut self) -> Option<TraceRecord> {
+        if let Some(&record) = self.spill.get(self.spill_at) {
+            self.spill_at += 1;
+            return Some(record);
+        }
         // Emit from the core whose next touch is earliest.
         let idx = self
             .cores

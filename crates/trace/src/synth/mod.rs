@@ -18,10 +18,12 @@
 //! its on-the-fly datasets.
 
 mod engine;
+mod fill;
 mod pattern;
 mod zipf;
 
 pub use engine::TraceGenerator;
+pub use fill::{Workers, WINDOW};
 pub use pattern::PatternFamily;
 pub use zipf::Zipf;
 

@@ -225,12 +225,57 @@ fn chrome_trace_is_valid_and_structured() {
         let name = lanes
             .get(&tid)
             .unwrap_or_else(|| panic!("lane {tid} is unnamed"));
-        assert!(
-            name.strip_prefix("worker-")
-                .is_some_and(|n| n.parse::<usize>().is_ok()),
-            "mix detailed-sim on lane `{name}`"
-        );
+        assert!(is_lane(name, "worker"), "mix detailed-sim on lane `{name}`");
     }
+
+    // A quick-scale trace spans several synthesis windows, so a worker
+    // synthesizing it on demand runs the fill on the pool itself plus
+    // `synth-N` helpers. The worker's own lane keeps its name: every
+    // `detailed-sim` and `synthesis` span stays on a `worker-N` lane.
+    let spec = SweepSpec::new(RunScale::quick()).grid(
+        &[WorkloadKind::WebSearch],
+        &[DesignSpec::baseline(), DesignSpec::footprint(64)],
+    );
+    assert!(spec.points()[1].warmup() > 2 * fc_trace::synth::WINDOW as u64);
+    let engine = SweepEngine::new().with_threads(2).quiet();
+    let _ = trace::take_events();
+    trace::enable();
+    engine.run_spec(&spec);
+    trace::disable();
+
+    let json = trace::chrome_trace_json();
+    let lanes = lane_names(&json);
+    let events = parse_events(&json);
+    let on_lane = |span: &str| -> Vec<&String> {
+        events
+            .iter()
+            .filter(|e| e.ph == "X" && e.name == span)
+            .map(|e| {
+                lanes
+                    .get(&e.tid)
+                    .unwrap_or_else(|| panic!("lane {} is unnamed", e.tid))
+            })
+            .collect()
+    };
+    assert_eq!(on_lane("detailed-sim").len(), 2);
+    assert!(!on_lane("synthesis").is_empty());
+    for name in on_lane("detailed-sim")
+        .into_iter()
+        .chain(on_lane("synthesis"))
+    {
+        assert!(is_lane(name, "worker"), "span on lane `{name}`");
+    }
+    assert!(
+        lanes.values().any(|name| is_lane(name, "synth")),
+        "no synth-N helper lane in {lanes:?}"
+    );
+}
+
+/// Whether `name` is `{prefix}-N`.
+fn is_lane(name: &str, prefix: &str) -> bool {
+    name.strip_prefix(prefix)
+        .and_then(|rest| rest.strip_prefix('-'))
+        .is_some_and(|n| n.parse::<usize>().is_ok())
 }
 
 #[test]
