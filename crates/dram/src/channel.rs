@@ -79,13 +79,6 @@ impl QueueDelayHist {
     pub fn samples(&self) -> u64 {
         self.bins.iter().sum()
     }
-
-    /// The bins as a JSON array literal — the single rendering used by
-    /// both the sweep emitters and the golden-stats format.
-    pub fn to_json(&self) -> String {
-        let cells: Vec<String> = self.bins.iter().map(|b| b.to_string()).collect();
-        format!("[{}]", cells.join(", "))
-    }
 }
 
 impl std::ops::AddAssign for QueueDelayHist {

@@ -79,23 +79,8 @@ pub use series::TimeSeries;
 pub use watchdog::{FloorSpec, Watchdog, WatchdogVerdict};
 pub use window::MetricsWindow;
 
-/// Escapes a string for a JSON value position (the crate is
-/// dependency-free, so it carries its own tiny escaper).
-pub fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
+/// Escapes a string for a JSON value position.
+pub use fc_types::json::escape as json_escape;
 
 /// Formats an f64 as a JSON-safe number literal (`null` for non-finite
 /// values, which bare JSON cannot represent).

@@ -14,7 +14,9 @@ use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 use std::sync::{Mutex, OnceLock};
 
-use crate::{json_escape, json_num};
+use fc_types::record::write_object;
+
+use crate::json_escape;
 
 /// A monotonically increasing event count.
 #[derive(Debug, Default)]
@@ -298,18 +300,14 @@ impl MetricsSnapshot {
                 out.push(',');
             }
             first = false;
-            let bounds: Vec<String> = h.bounds.iter().map(|b| b.to_string()).collect();
-            let bins: Vec<String> = h.bins.iter().map(|b| b.to_string()).collect();
-            out.push_str(&format!(
-                "\n    \"{}\": {{\"bounds\": [{}], \"bins\": [{}], \"sum\": {}, \
-                 \"count\": {}, \"mean\": {}}}",
-                json_escape(name),
-                bounds.join(", "),
-                bins.join(", "),
-                h.sum,
-                h.count,
-                json_num(h.mean())
-            ));
+            out.push_str(&format!("\n    \"{}\": ", json_escape(name)));
+            write_object(&mut out, |w| {
+                w.u64s("bounds", h.bounds.iter().copied());
+                w.u64s("bins", h.bins.iter().copied());
+                w.u64("sum", h.sum);
+                w.u64("count", h.count);
+                w.f64("mean", h.mean());
+            });
         }
         out.push_str(if first { "}\n}" } else { "\n  }\n}" });
         out

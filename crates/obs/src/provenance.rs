@@ -6,7 +6,9 @@
 //! configuration that produced it: seed, scale, thread count, design
 //! list, wall time, crate version, and compiled feature flags.
 
-use crate::{json_escape, json_num, series};
+use fc_types::record::json_object;
+
+use crate::series;
 
 /// A run manifest, embedded in emitted artifacts.
 #[derive(Clone, Debug, PartialEq)]
@@ -64,49 +66,20 @@ impl Provenance {
 
     /// Renders the manifest as a single JSON object.
     pub fn to_json(&self) -> String {
-        fn str_list(items: &[String]) -> String {
-            let quoted: Vec<String> = items
-                .iter()
-                .map(|s| format!("\"{}\"", json_escape(s)))
-                .collect();
-            format!("[{}]", quoted.join(", "))
-        }
-        fn opt_str(v: &Option<String>) -> String {
-            match v {
-                Some(s) => format!("\"{}\"", json_escape(s)),
-                None => "null".to_string(),
-            }
-        }
-        let mut fields = vec![
-            format!("\"tool\": \"{}\"", json_escape(&self.tool)),
-            format!("\"version\": \"{}\"", json_escape(&self.version)),
-            format!("\"features\": {}", str_list(&self.features)),
-            format!("\"grid\": {}", opt_str(&self.grid)),
-            format!("\"scale\": {}", opt_str(&self.scale)),
-        ];
-        fields.push(match self.seed {
-            Some(s) => format!("\"seed\": {s}"),
-            None => "\"seed\": null".to_string(),
-        });
-        fields.push(match self.threads {
-            Some(t) => format!("\"threads\": {t}"),
-            None => "\"threads\": null".to_string(),
-        });
-        fields.push(format!("\"workloads\": {}", str_list(&self.workloads)));
-        fields.push(format!("\"designs\": {}", str_list(&self.designs)));
-        fields.push(match self.points {
-            Some(p) => format!("\"points\": {p}"),
-            None => "\"points\": null".to_string(),
-        });
-        fields.push(match self.wall_secs {
-            Some(w) => format!("\"wall_secs\": {}", json_num(w)),
-            None => "\"wall_secs\": null".to_string(),
-        });
-        fields.push(match self.store_generation {
-            Some(g) => format!("\"store_generation\": {g}"),
-            None => "\"store_generation\": null".to_string(),
-        });
-        format!("{{{}}}", fields.join(", "))
+        json_object(|w| {
+            w.text("tool", &self.tool);
+            w.text("version", &self.version);
+            w.texts("features", &self.features);
+            w.text_or_null("grid", self.grid.as_deref());
+            w.text_or_null("scale", self.scale.as_deref());
+            w.u64_or_null("seed", self.seed);
+            w.u64_or_null("threads", self.threads.map(|t| t as u64));
+            w.texts("workloads", &self.workloads);
+            w.texts("designs", &self.designs);
+            w.u64_or_null("points", self.points.map(|p| p as u64));
+            w.f64("wall_secs", self.wall_secs.unwrap_or(f64::NAN));
+            w.u64_or_null("store_generation", self.store_generation);
+        })
     }
 }
 

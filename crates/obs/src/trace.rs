@@ -25,7 +25,7 @@ use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
 use std::sync::{Mutex, OnceLock};
 use std::time::Instant;
 
-use crate::json_escape;
+use fc_types::record::write_object;
 
 /// One completed span or instant, ready for Chrome-trace export.
 #[derive(Clone, Debug)]
@@ -327,52 +327,43 @@ pub fn chrome_trace_json() -> String {
 pub fn render_chrome_trace(events: &[TraceEvent], lanes: &[(u32, String)]) -> String {
     let mut out = String::with_capacity(events.len() * 96 + 256);
     out.push_str("{\"traceEvents\": [\n");
-    let mut first = true;
+    // One event object per line, comma-separated.
+    let mut sep = "  ";
     for (lane, name) in lanes {
-        if !first {
-            out.push_str(",\n");
-        }
-        first = false;
-        out.push_str(&format!(
-            "  {{\"name\": \"thread_name\", \"ph\": \"M\", \"pid\": 0, \"tid\": {lane}, \
-             \"args\": {{\"name\": \"{}\"}}}}",
-            json_escape(name)
-        ));
+        out.push_str(std::mem::replace(&mut sep, ",\n  "));
+        write_object(&mut out, |w| {
+            w.text("name", "thread_name");
+            w.text("ph", "M");
+            w.u64("pid", 0);
+            w.u64("tid", (*lane).into());
+            w.object("args", |w| w.text("name", name));
+        });
     }
     for e in events {
-        if !first {
-            out.push_str(",\n");
-        }
-        first = false;
-        let mut fields: Vec<String> = Vec::with_capacity(2);
-        if let Some(a) = &e.arg {
-            fields.push(format!("\"label\": \"{}\"", json_escape(a)));
-        }
-        if let Some(r) = &e.req {
-            fields.push(format!("\"req\": \"{}\"", json_escape(r)));
-        }
-        let args = format!("{{{}}}", fields.join(", "));
-        match e.phase {
-            'i' => out.push_str(&format!(
-                "  {{\"name\": \"{}\", \"cat\": \"{}\", \"ph\": \"i\", \"s\": \"t\", \
-                 \"ts\": {}, \"pid\": 0, \"tid\": {}, \"args\": {}}}",
-                json_escape(e.name),
-                json_escape(e.cat),
-                e.start_us,
-                e.lane,
-                args
-            )),
-            _ => out.push_str(&format!(
-                "  {{\"name\": \"{}\", \"cat\": \"{}\", \"ph\": \"X\", \"ts\": {}, \
-                 \"dur\": {}, \"pid\": 0, \"tid\": {}, \"args\": {}}}",
-                json_escape(e.name),
-                json_escape(e.cat),
-                e.start_us,
-                e.dur_us,
-                e.lane,
-                args
-            )),
-        }
+        let instant = e.phase == 'i';
+        out.push_str(std::mem::replace(&mut sep, ",\n  "));
+        write_object(&mut out, |w| {
+            w.text("name", e.name);
+            w.text("cat", e.cat);
+            w.text("ph", if instant { "i" } else { "X" });
+            if instant {
+                w.text("s", "t");
+            }
+            w.u64("ts", e.start_us);
+            if !instant {
+                w.u64("dur", e.dur_us);
+            }
+            w.u64("pid", 0);
+            w.u64("tid", e.lane.into());
+            w.object("args", |w| {
+                if let Some(a) = &e.arg {
+                    w.text("label", a);
+                }
+                if let Some(r) = &e.req {
+                    w.text("req", r);
+                }
+            });
+        });
     }
     out.push_str("\n]}\n");
     out

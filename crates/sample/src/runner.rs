@@ -14,14 +14,6 @@ use crate::report::{IntervalSample, SampledReport};
 trait Source {
     fn skip(&mut self, n: u64);
     fn replay(&mut self, n: u64, step: &mut dyn FnMut(&TraceRecord));
-
-    /// Replays `n` records through the detailed engine. Sources that
-    /// can expose contiguous record slices override this to hand the
-    /// engine whole batches ([`Simulation::step_slice`]); the default
-    /// steps one record at a time. Both are bit-identical.
-    fn replay_detailed(&mut self, n: u64, sim: &mut Simulation) {
-        self.replay(n, &mut |r| sim.step(r));
-    }
 }
 
 /// Per-period record layout of a plan over a run, shared by the
@@ -83,12 +75,6 @@ impl Source for SliceSource<'_> {
         for r in &self.records[self.pos..end] {
             step(r);
         }
-        self.pos = end;
-    }
-
-    fn replay_detailed(&mut self, n: u64, sim: &mut Simulation) {
-        let end = self.pos + n as usize;
-        sim.step_slice(&self.records[self.pos..end]);
         self.pos = end;
     }
 }
@@ -225,7 +211,7 @@ fn drive(
         }
         {
             let _span = fc_obs::trace::span("detailed-warmup", "sample");
-            source.replay_detailed(plan.detail_warmup, sim);
+            source.replay(plan.detail_warmup, &mut |r| sim.step(r));
         }
         // Snapshots bound the interval *without* draining: forcing the
         // MSHRs empty at the boundaries would start every interval from
@@ -236,7 +222,7 @@ fn drive(
         let snapshot = sim.snapshot();
         let delta = {
             let _span = fc_obs::trace::span("measured", "sample");
-            source.replay_detailed(plan.interval, sim);
+            source.replay(plan.interval, &mut |r| sim.step(r));
             SimReport::since(sim, &snapshot)
         };
         let start_record = layout.interval_start(plan, warmup, k);

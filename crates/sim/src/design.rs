@@ -18,11 +18,12 @@ use fc_cache::{
     PageBasedCache, SubBlockCache, WritebackGranularity,
 };
 use fc_dram::{DramConfig, RowPolicy};
+use fc_types::record::{json_object, RecordWriter};
 use fc_types::PageGeometry;
 use footprint_cache::{FootprintCache, FootprintCacheConfig, KeyKind};
 use serde::{Deserialize, Serialize};
 
-use crate::json::{escape, JsonValue};
+use crate::json::JsonValue;
 use crate::memsys::MemorySystem;
 use crate::model::DesignModel;
 
@@ -112,18 +113,14 @@ impl DramSpec {
         config
     }
 
-    fn to_json(self) -> String {
-        let policy = match self.policy {
-            None => "null".to_string(),
-            Some(RowPolicy::Open) => "\"open\"".to_string(),
-            Some(RowPolicy::Closed) => "\"closed\"".to_string(),
-        };
-        format!(
-            "{{\"preset\": \"{}\", \"policy\": {}, \"halved_latency\": {}}}",
-            self.preset.json_name(),
-            policy,
-            self.halved_latency
-        )
+    fn write(self, w: &mut RecordWriter<'_>) {
+        w.text("preset", self.preset.json_name());
+        let policy = self.policy.map(|p| match p {
+            RowPolicy::Open => "open",
+            RowPolicy::Closed => "closed",
+        });
+        w.text_or_null("policy", policy);
+        w.bool("halved_latency", self.halved_latency);
     }
 
     fn from_json(v: &JsonValue) -> Result<Self, String> {
@@ -214,63 +211,70 @@ pub enum CacheSpec {
 }
 
 impl CacheSpec {
-    fn to_json(self) -> String {
+    fn write(self, w: &mut RecordWriter<'_>) {
+        // Most families are a kind, a capacity and a page size.
+        let sized = |w: &mut RecordWriter<'_>, kind, mb, page_bytes: Option<u32>| {
+            w.text("kind", kind);
+            w.u64("mb", mb);
+            if let Some(b) = page_bytes {
+                w.u64("page_bytes", b.into());
+            }
+        };
         match self {
-            CacheSpec::None => "{\"kind\": \"none\"}".to_string(),
-            CacheSpec::Ideal => "{\"kind\": \"ideal\"}".to_string(),
-            CacheSpec::Block { mb } => format!("{{\"kind\": \"block\", \"mb\": {mb}}}"),
+            CacheSpec::None => w.text("kind", "none"),
+            CacheSpec::Ideal => w.text("kind", "ideal"),
+            CacheSpec::Block { mb } => sized(w, "block", mb, None),
             CacheSpec::Page {
                 mb,
                 page_bytes,
                 writeback,
-            } => format!(
-                "{{\"kind\": \"page\", \"mb\": {mb}, \"page_bytes\": {page_bytes}, \
-                 \"writeback\": \"{}\"}}",
-                match writeback {
-                    WritebackGranularity::Page => "page",
-                    WritebackGranularity::DirtyBlocks => "dirty-blocks",
-                }
-            ),
-            CacheSpec::Footprint { config } => format!(
-                "{{\"kind\": \"footprint\", \"capacity_bytes\": {}, \"page_bytes\": {}, \
-                 \"ways\": {}, \"fht_entries\": {}, \"fht_ways\": {}, \"st_entries\": {}, \
-                 \"singleton_optimization\": {}, \"key_kind\": \"{}\"}}",
-                config.capacity_bytes,
-                config.geom.page_size(),
-                config.ways,
-                config.fht_entries,
-                config.fht_ways,
-                config.st_entries,
-                config.singleton_optimization,
-                match config.key_kind {
-                    KeyKind::PcOffset => "pc-offset",
-                    KeyKind::PcOnly => "pc-only",
-                    KeyKind::OffsetOnly => "offset-only",
-                }
-            ),
-            CacheSpec::SubBlock { mb, page_bytes } => {
-                format!("{{\"kind\": \"subblock\", \"mb\": {mb}, \"page_bytes\": {page_bytes}}}")
+            } => {
+                sized(w, "page", mb, Some(page_bytes));
+                w.text(
+                    "writeback",
+                    match writeback {
+                        WritebackGranularity::Page => "page",
+                        WritebackGranularity::DirtyBlocks => "dirty-blocks",
+                    },
+                );
             }
+            CacheSpec::Footprint { config } => {
+                w.text("kind", "footprint");
+                w.u64("capacity_bytes", config.capacity_bytes);
+                w.u64("page_bytes", config.geom.page_size() as u64);
+                w.u64("ways", config.ways as u64);
+                w.u64("fht_entries", config.fht_entries as u64);
+                w.u64("fht_ways", config.fht_ways as u64);
+                w.u64("st_entries", config.st_entries as u64);
+                w.bool("singleton_optimization", config.singleton_optimization);
+                w.text(
+                    "key_kind",
+                    match config.key_kind {
+                        KeyKind::PcOffset => "pc-offset",
+                        KeyKind::PcOnly => "pc-only",
+                        KeyKind::OffsetOnly => "offset-only",
+                    },
+                );
+            }
+            CacheSpec::SubBlock { mb, page_bytes } => sized(w, "subblock", mb, Some(page_bytes)),
             CacheSpec::HotPage {
                 mb,
                 page_bytes,
                 threshold,
-            } => format!(
-                "{{\"kind\": \"hotpage\", \"mb\": {mb}, \"page_bytes\": {page_bytes}, \
-                 \"threshold\": {threshold}}}"
-            ),
-            CacheSpec::Alloy { mb } => format!("{{\"kind\": \"alloy\", \"mb\": {mb}}}"),
-            CacheSpec::Banshee { mb, page_bytes } => {
-                format!("{{\"kind\": \"banshee\", \"mb\": {mb}, \"page_bytes\": {page_bytes}}}")
+            } => {
+                sized(w, "hotpage", mb, Some(page_bytes));
+                w.u64("threshold", threshold.into());
             }
+            CacheSpec::Alloy { mb } => sized(w, "alloy", mb, None),
+            CacheSpec::Banshee { mb, page_bytes } => sized(w, "banshee", mb, Some(page_bytes)),
             CacheSpec::Gemini {
                 mb,
                 page_bytes,
                 promote_hits,
-            } => format!(
-                "{{\"kind\": \"gemini\", \"mb\": {mb}, \"page_bytes\": {page_bytes}, \
-                 \"promote_hits\": {promote_hits}}}"
-            ),
+            } => {
+                sized(w, "gemini", mb, Some(page_bytes));
+                w.u64("promote_hits", promote_hits.into());
+            }
         }
     }
 
@@ -643,17 +647,12 @@ impl DesignSpec {
     /// is stable (fixed field order), so it doubles as the hashing
     /// input for `fc_sweep`'s result store.
     pub fn to_json(&self) -> String {
-        let stacked = match self.stacked {
-            Some(s) => s.to_json(),
-            None => "null".to_string(),
-        };
-        format!(
-            "{{\"label\": \"{}\", \"cache\": {}, \"stacked\": {}, \"offchip\": {}}}",
-            escape(&self.label()),
-            self.cache.to_json(),
-            stacked,
-            self.offchip.to_json()
-        )
+        json_object(|w| {
+            w.text("label", &self.label());
+            w.object("cache", |w| self.cache.write(w));
+            w.opt_object("stacked", self.stacked, |w, s| s.write(w));
+            w.object("offchip", |w| self.offchip.write(w));
+        })
     }
 
     /// Parses a spec from [`to_json`](DesignSpec::to_json)'s format.

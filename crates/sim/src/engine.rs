@@ -5,7 +5,6 @@ use std::collections::VecDeque;
 use fc_cache::{SramCache, SramOutcome};
 use fc_trace::{ScenarioGenerator, ScenarioSpec, TraceGenerator, TraceRecord, WorkloadKind};
 
-use crate::batch::{RecordBatch, BATCH_RECORDS};
 use crate::config::SimConfig;
 use crate::design::DesignSpec;
 use crate::memsys::MemorySystem;
@@ -153,9 +152,7 @@ impl Simulation {
         self.design
     }
 
-    /// Replays one trace record through the hierarchy (a one-record
-    /// batch; bulk callers should prefer [`step_batch`]
-    /// (Simulation::step_batch) / [`step_slice`](Simulation::step_slice)).
+    /// Replays one trace record through the hierarchy.
     #[inline]
     pub fn step(&mut self, r: &TraceRecord) {
         let core = &mut self.cores[r.core as usize];
@@ -197,28 +194,11 @@ impl Simulation {
         }
     }
 
-    /// Replays a columnar batch through the hierarchy. This is the
-    /// data-oriented hot loop: the engine streams the batch's dense
-    /// columns in order and drives the memory system through the
-    /// enum-dispatched design model, with per-record iterator and
-    /// dispatch overhead amortized across the batch. **Bit-identical**
-    /// to stepping the same records one at a time — the equivalence is
-    /// enforced for every registry design by `tests/batched_equivalence`.
-    pub fn step_batch(&mut self, batch: &RecordBatch) {
-        for i in 0..batch.len() {
-            let r = batch.record(i);
-            self.step(&r);
-        }
-    }
-
-    /// Replays a record slice through reusable columnar batches of
-    /// [`BATCH_RECORDS`](crate::BATCH_RECORDS) records.
+    /// Replays a record slice through the hierarchy, one [`step`]
+    /// (Simulation::step) per record.
     pub fn step_slice(&mut self, records: &[TraceRecord]) {
-        let mut batch = RecordBatch::with_capacity(BATCH_RECORDS.min(records.len()));
-        for chunk in records.chunks(BATCH_RECORDS) {
-            batch.clear();
-            batch.extend(chunk);
-            self.step_batch(&batch);
+        for r in records {
+            self.step(r);
         }
     }
 
@@ -320,18 +300,9 @@ impl Simulation {
     ) -> SimReport {
         let _span = fc_obs::trace::span("detailed-sim", "sim");
         let mut replayed = 0u64;
-        let mut batch = RecordBatch::with_capacity(BATCH_RECORDS);
-        let mut records = records.into_iter();
-        loop {
-            batch.clear();
-            for r in records.by_ref().take(BATCH_RECORDS) {
-                batch.push(&r);
-            }
-            if batch.is_empty() {
-                break;
-            }
-            self.step_batch(&batch);
-            replayed += batch.len() as u64;
+        for r in records {
+            self.step(&r);
+            replayed += 1;
         }
         self.drain();
         // One registry touch per replay, not per record.

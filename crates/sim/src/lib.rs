@@ -40,7 +40,6 @@
 #![warn(missing_docs)]
 
 pub mod analysis;
-mod batch;
 mod config;
 mod design;
 mod engine;
@@ -55,7 +54,6 @@ mod report;
 // `fc_sim::json` keeps working for existing callers.
 pub use fc_types::json;
 
-pub use batch::{RecordBatch, BATCH_RECORDS};
 pub use config::SimConfig;
 pub use design::{CacheSpec, DesignSpec, DramPreset, DramSpec};
 pub use engine::{Checkpoint, Simulation};

@@ -3,7 +3,7 @@
 //! The detailed hot loop used to reach cache models exclusively through
 //! `Box<dyn DramCacheModel>` — one indirect call per access, per
 //! writeback, per warmup touch. Wrapping the concrete models in an enum
-//! lets the batch loop dispatch via `match`: the compiler monomorphizes
+//! lets the hot loop dispatch via `match`: the compiler monomorphizes
 //! each arm into a direct (often inlined) call, and the memory system
 //! stores the model by value with no pointer chase. The boxed trait
 //! object survives as the [`Extension`](DesignModel::Extension) escape

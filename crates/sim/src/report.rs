@@ -6,6 +6,7 @@ use serde::{Deserialize, Serialize};
 
 use fc_cache::{DramCacheStats, PredictionCounters};
 use fc_dram::{DramStats, EnergyBreakdown};
+use fc_types::record::{json_document, RecordWriter};
 
 use crate::engine::Simulation;
 
@@ -220,6 +221,16 @@ impl SimReport {
         }
     }
 
+    /// Stacked-DRAM bytes per instruction — the die-stacked side of
+    /// the same bandwidth-demand measure.
+    pub fn stacked_bytes_per_inst(&self) -> f64 {
+        if self.insts == 0 {
+            0.0
+        } else {
+            self.stacked.bytes() as f64 / self.insts as f64
+        }
+    }
+
     /// Off-chip DRAM dynamic energy per instruction in nanojoules
     /// (Figure 10's y-axis before normalization).
     pub fn offchip_energy_per_inst_nj(&self) -> f64 {
@@ -245,76 +256,62 @@ impl SimReport {
     /// `tests/golden_stats.rs` harness compares this string against the
     /// committed per-design goldens (regenerate with `UPDATE_GOLDEN=1`).
     pub fn to_canonical_json(&self) -> String {
-        let dram = |d: &DramStats| {
-            format!(
-                "{{\"accesses\": {}, \"activates\": {}, \"row_hits\": {}, \
-                 \"row_misses\": {}, \"read_blocks\": {}, \"write_blocks\": {}, \
-                 \"compound_accesses\": {}, \"busy_cycles\": {}, \
-                 \"queue_delay_cycles\": {}, \"queue_hist\": {}}}",
-                d.accesses,
-                d.activates,
-                d.row_hits,
-                d.row_misses,
-                d.read_blocks,
-                d.write_blocks,
-                d.compound_accesses,
-                d.busy_cycles,
-                d.queue_delay_cycles,
-                d.queue_hist.to_json(),
-            )
-        };
-        let energy = |e: &EnergyReport| {
-            format!(
-                "{{\"act_pre_nj\": {}, \"burst_nj\": {}}}",
-                e.act_pre_nj, e.burst_nj
-            )
-        };
-        let c = &self.cache;
-        let density: Vec<String> = c.density.bins().iter().map(|b| b.to_string()).collect();
-        let cache = format!(
-            "{{\"accesses\": {}, \"hits\": {}, \"misses\": {}, \"bypasses\": {}, \
-             \"evictions\": {}, \"dirty_evictions\": {}, \"fill_blocks\": {}, \
-             \"offchip_read_blocks\": {}, \"offchip_write_blocks\": {}, \
-             \"stacked_read_blocks\": {}, \"stacked_write_blocks\": {}, \
-             \"density_bins\": [{}]}}",
-            c.accesses,
-            c.hits,
-            c.misses,
-            c.bypasses,
-            c.evictions,
-            c.dirty_evictions,
-            c.fill_blocks,
-            c.offchip_read_blocks,
-            c.offchip_write_blocks,
-            c.stacked_read_blocks,
-            c.stacked_write_blocks,
-            density.join(", "),
-        );
-        let prediction = match &self.prediction {
-            Some(p) => format!(
-                "{{\"covered\": {}, \"overpredicted\": {}, \"underpredicted\": {}, \
-                 \"singleton_bypasses\": {}, \"singleton_promotions\": {}}}",
-                p.covered,
-                p.overpredicted,
-                p.underpredicted,
-                p.singleton_bypasses,
-                p.singleton_promotions
-            ),
-            None => "null".to_string(),
-        };
-        format!(
-            "{{\n  \"insts\": {},\n  \"cycles\": {},\n  \"cache\": {},\n  \
-             \"offchip\": {},\n  \"stacked\": {},\n  \"offchip_energy\": {},\n  \
-             \"stacked_energy\": {},\n  \"prediction\": {}\n}}\n",
-            self.insts,
-            self.cycles,
-            cache,
-            dram(&self.offchip),
-            dram(&self.stacked),
-            energy(&self.offchip_energy),
-            energy(&self.stacked_energy),
-            prediction,
-        )
+        fn dram(w: &mut RecordWriter<'_>, name: &'static str, d: &DramStats) {
+            w.object(name, |w| {
+                w.u64("accesses", d.accesses);
+                w.u64("activates", d.activates);
+                w.u64("row_hits", d.row_hits);
+                w.u64("row_misses", d.row_misses);
+                w.u64("read_blocks", d.read_blocks);
+                w.u64("write_blocks", d.write_blocks);
+                w.u64("compound_accesses", d.compound_accesses);
+                w.u64("busy_cycles", d.busy_cycles);
+                w.u64("queue_delay_cycles", d.queue_delay_cycles);
+                w.u64s("queue_hist", d.queue_hist.bins());
+            });
+        }
+        fn energy(w: &mut RecordWriter<'_>, name: &'static str, e: &EnergyReport) {
+            w.object(name, |w| {
+                w.f64("act_pre_nj", e.act_pre_nj);
+                w.f64("burst_nj", e.burst_nj);
+            });
+        }
+        json_document(|w| {
+            w.u64("insts", self.insts);
+            w.u64("cycles", self.cycles);
+            let c = &self.cache;
+            w.object("cache", |w| {
+                w.u64("accesses", c.accesses);
+                w.u64("hits", c.hits);
+                w.u64("misses", c.misses);
+                w.u64("bypasses", c.bypasses);
+                w.u64("evictions", c.evictions);
+                w.u64("dirty_evictions", c.dirty_evictions);
+                w.u64("fill_blocks", c.fill_blocks);
+                w.u64("offchip_read_blocks", c.offchip_read_blocks);
+                w.u64("offchip_write_blocks", c.offchip_write_blocks);
+                w.u64("stacked_read_blocks", c.stacked_read_blocks);
+                w.u64("stacked_write_blocks", c.stacked_write_blocks);
+                w.u64s("density_bins", c.density.bins());
+            });
+            dram(w, "offchip", &self.offchip);
+            dram(w, "stacked", &self.stacked);
+            energy(w, "offchip_energy", &self.offchip_energy);
+            energy(w, "stacked_energy", &self.stacked_energy);
+            self.write_prediction(w);
+        })
+    }
+
+    /// Writes the footprint-prediction counters as a `prediction`
+    /// member: `null` for designs without a predictor.
+    pub fn write_prediction(&self, w: &mut RecordWriter<'_>) {
+        w.opt_object("prediction", self.prediction.as_ref(), |w, p| {
+            w.u64("covered", p.covered);
+            w.u64("overpredicted", p.overpredicted);
+            w.u64("underpredicted", p.underpredicted);
+            w.u64("singleton_bypasses", p.singleton_bypasses);
+            w.u64("singleton_promotions", p.singleton_promotions);
+        });
     }
 }
 

@@ -1,173 +1,200 @@
-//! Result emitters: JSON and CSV.
+//! Result emitters: one record description per result kind.
 //!
-//! Hand-rolled (the container has no serialization crates), emitting
-//! the metrics every experiment in the harness derives its tables from.
-//! One record per sweep point, in submission order.
+//! Each result kind ([`SweepResult`], [`SampledResult`], [`MixResult`],
+//! [`LoadedResult`]) implements [`Record`]: it writes its fields, in
+//! order, once, into a [`RecordWriter`]. The JSON array ([`to_json`]),
+//! the CSV ([`to_csv`]) and the per-point payload `fc_sweep serve`
+//! streams ([`point_record_json`]) all render from that one
+//! description.
+//!
+//! The CSV is the record's scalar projection: every top-level scalar,
+//! plus the always-present nested objects flattened to dotted column
+//! names (`plan.period`, `ipc.ci_half`). Arrays (`per_core`, the queue
+//! histograms) and the optional `prediction` object are JSON-only.
+//! Numbers render identically in both (non-finite floats as `null`).
+
+use fc_sim::loaded::{usable_bandwidth, LoadedPoint};
+use fc_sim::{CorePerf, DesignSpec};
+use fc_types::record::{json_document, write_json};
+pub use fc_types::record::{to_csv, to_json, Record, RecordWriter};
 
 use crate::executor::SweepResult;
-
-// One escaper for the whole workspace: the spec layer's.
-use fc_sim::json::escape as json_escape;
-
-/// Formats an f64 as a JSON-safe number literal.
-fn json_num(x: f64) -> String {
-    if x.is_finite() {
-        format!("{x}")
-    } else {
-        "null".to_string()
-    }
-}
-
-/// Renders a queueing-delay histogram as a JSON array of bin counts.
-fn hist_json(h: &fc_dram::QueueDelayHist) -> String {
-    h.to_json()
-}
-
-/// Renders a report's per-core counters as a JSON array (one object
-/// per core, in core order).
-fn per_core_json(rep: &fc_sim::SimReport) -> String {
-    let entries: Vec<String> = rep
-        .per_core
-        .iter()
-        .enumerate()
-        .map(|(core, c)| {
-            format!(
-                "{{\"core\": {core}, \"insts\": {}, \"cycles\": {}, \
-                 \"l2_misses\": {}, \"ipc\": {}, \"mpki\": {}}}",
-                c.insts,
-                c.cycles,
-                c.l2_misses,
-                json_num(c.ipc()),
-                json_num(c.mpki()),
-            )
-        })
-        .collect();
-    format!("[{}]", entries.join(", "))
-}
+use crate::{Estimate, LoadedResult, MixResult, SampledResult};
 
 /// Renders one sweep result as a single JSON object (no trailing
-/// newline) — the per-point record `to_json` arrays up, and the
+/// newline): the per-point record [`to_json`] arrays up, and the
 /// payload `fc_sweep serve` streams per point.
 pub fn point_record_json(r: &SweepResult) -> String {
-    let p = &r.point;
-    let rep = &r.report;
-    let prediction = match &rep.prediction {
-        Some(pred) => format!(
-            "{{\"covered\": {}, \"overpredicted\": {}, \"underpredicted\": {}, \
-             \"singleton_bypasses\": {}, \"singleton_promotions\": {}}}",
-            pred.covered,
-            pred.overpredicted,
-            pred.underpredicted,
-            pred.singleton_bypasses,
-            pred.singleton_promotions
-        ),
-        None => "null".to_string(),
-    };
-    format!(
-        "{{\"workload\": \"{workload}\", \"design\": \"{design}\", \
-         \"capacity_mb\": {mb}, \"seed\": {seed}, \
-         \"warmup_records\": {warmup}, \"measured_records\": {measured}, \
-         \"key\": \"{key:016x}\", \
-         \"insts\": {insts}, \"cycles\": {cycles}, \
-         \"throughput\": {tput}, \
-         \"miss_ratio\": {miss}, \"hit_ratio\": {hit}, \
-         \"offchip_bytes_per_inst\": {obpi}, \
-         \"stacked_bytes_per_inst\": {sbpi}, \
-         \"offchip_energy_nj\": {oe}, \"stacked_energy_nj\": {se}, \
-         \"stacked_row_hit_ratio\": {rh}, \
-         \"stacked_compound_accesses\": {compound}, \
-         \"offchip_busy_cycles\": {obusy}, \"stacked_busy_cycles\": {sbusy}, \
-         \"offchip_avg_queue_delay\": {oqd}, \"stacked_avg_queue_delay\": {sqd}, \
-         \"offchip_queue_hist\": {ohist}, \"stacked_queue_hist\": {shist}, \
-         \"per_core\": {per_core}, \
-         \"prediction\": {prediction}}}",
-        workload = json_escape(&p.workload.to_string()),
-        design = json_escape(&p.design.label()),
-        mb = p.capacity_mb(),
-        seed = p.seed(),
-        warmup = p.warmup(),
-        measured = p.measured(),
-        key = p.key().hash64(),
-        insts = rep.insts,
-        cycles = rep.cycles,
-        tput = json_num(rep.throughput()),
-        miss = json_num(rep.cache.miss_ratio()),
-        hit = json_num(rep.cache.hit_ratio()),
-        obpi = json_num(rep.offchip_bytes_per_inst()),
-        sbpi = json_num(stacked_bytes_per_inst(rep)),
-        oe = json_num(rep.offchip_energy.total_nj()),
-        se = json_num(rep.stacked_energy.total_nj()),
-        rh = json_num(rep.stacked.row_hit_ratio()),
-        compound = rep.stacked.compound_accesses,
-        obusy = rep.offchip.busy_cycles,
-        sbusy = rep.stacked.busy_cycles,
-        oqd = json_num(rep.offchip.avg_queue_delay()),
-        sqd = json_num(rep.stacked.avg_queue_delay()),
-        ohist = hist_json(&rep.offchip.queue_hist),
-        shist = hist_json(&rep.stacked.queue_hist),
-        per_core = per_core_json(rep),
-    )
-}
-
-/// Renders results as a JSON array (one object per point).
-pub fn to_json(results: &[SweepResult]) -> String {
-    let mut out = String::from("[\n");
-    for (i, r) in results.iter().enumerate() {
-        out.push_str("  ");
-        out.push_str(&point_record_json(r));
-        out.push_str(if i + 1 == results.len() { "\n" } else { ",\n" });
-    }
-    out.push_str("]\n");
+    let mut out = String::with_capacity(2048);
+    write_json(&mut out, r);
     out
 }
 
-/// Escapes a CSV field (quotes fields containing separators/quotes).
-fn csv_escape(s: &str) -> String {
-    if s.contains(',') || s.contains('"') || s.contains('\n') {
-        format!("\"{}\"", s.replace('"', "\"\""))
-    } else {
-        s.to_string()
+/// [`to_json`] for sampled results.
+pub fn to_sampled_json(results: &[SampledResult]) -> String {
+    to_json(results)
+}
+
+/// The per-core counters every report-backed record carries.
+fn core_counters(w: &mut RecordWriter<'_>, c: &CorePerf) {
+    w.u64("insts", c.insts);
+    w.u64("cycles", c.cycles);
+    w.u64("l2_misses", c.l2_misses);
+    w.f64("ipc", c.ipc());
+    w.f64("mpki", c.mpki());
+}
+
+fn estimate(w: &mut RecordWriter<'_>, name: &'static str, e: &Estimate) {
+    w.object(name, |w| {
+        w.f64("mean", e.mean);
+        w.f64("stddev", e.stddev);
+        w.f64("ci_half", e.ci_half);
+        w.u64("n", e.n);
+    });
+}
+
+impl Record for SweepResult {
+    fn write(&self, w: &mut RecordWriter<'_>) {
+        let p = &self.point;
+        let rep = &*self.report;
+        w.text("workload", p.workload.name());
+        w.text("design", &p.design.label());
+        w.u64("capacity_mb", p.capacity_mb());
+        w.u64("seed", p.seed());
+        w.u64("warmup_records", p.warmup());
+        w.u64("measured_records", p.measured());
+        w.hex("key", p.key().hash64());
+        w.u64("insts", rep.insts);
+        w.u64("cycles", rep.cycles);
+        w.f64("throughput", rep.throughput());
+        w.f64("miss_ratio", rep.cache.miss_ratio());
+        w.f64("hit_ratio", rep.cache.hit_ratio());
+        w.f64("offchip_bytes_per_inst", rep.offchip_bytes_per_inst());
+        w.f64("stacked_bytes_per_inst", rep.stacked_bytes_per_inst());
+        w.f64("offchip_energy_nj", rep.offchip_energy.total_nj());
+        w.f64("stacked_energy_nj", rep.stacked_energy.total_nj());
+        w.f64("stacked_row_hit_ratio", rep.stacked.row_hit_ratio());
+        w.u64("stacked_compound_accesses", rep.stacked.compound_accesses);
+        w.u64("offchip_busy_cycles", rep.offchip.busy_cycles);
+        w.u64("stacked_busy_cycles", rep.stacked.busy_cycles);
+        w.f64("offchip_avg_queue_delay", rep.offchip.avg_queue_delay());
+        w.f64("stacked_avg_queue_delay", rep.stacked.avg_queue_delay());
+        w.u64s("offchip_queue_hist", rep.offchip.queue_hist.bins());
+        w.u64s("stacked_queue_hist", rep.stacked.queue_hist.bins());
+        w.objects(
+            "per_core",
+            rep.per_core.iter().enumerate(),
+            |w, (core, c)| {
+                w.u64("core", core as u64);
+                core_counters(w, c);
+            },
+        );
+        rep.write_prediction(w);
     }
 }
 
-/// Renders results as CSV with a header row.
-pub fn to_csv(results: &[SweepResult]) -> String {
-    let mut out = String::from(
-        "workload,design,capacity_mb,seed,warmup_records,measured_records,\
-         insts,cycles,throughput,miss_ratio,hit_ratio,\
-         offchip_bytes_per_inst,stacked_bytes_per_inst,\
-         offchip_energy_nj,stacked_energy_nj,stacked_row_hit_ratio,\
-         offchip_busy_cycles,stacked_busy_cycles,\
-         offchip_avg_queue_delay,stacked_avg_queue_delay\n",
-    );
-    for r in results {
-        let p = &r.point;
-        let rep = &r.report;
-        out.push_str(&format!(
-            "{},{},{},{},{},{},{},{},{:.6},{:.6},{:.6},{:.6},{:.6},{:.3},{:.3},{:.6},{},{},{:.3},{:.3}\n",
-            csv_escape(&p.workload.to_string()),
-            csv_escape(&p.design.label()),
-            p.capacity_mb(),
-            p.seed(),
-            p.warmup(),
-            p.measured(),
-            rep.insts,
-            rep.cycles,
-            rep.throughput(),
-            rep.cache.miss_ratio(),
-            rep.cache.hit_ratio(),
-            rep.offchip_bytes_per_inst(),
-            stacked_bytes_per_inst(rep),
-            rep.offchip_energy.total_nj(),
-            rep.stacked_energy.total_nj(),
-            rep.stacked.row_hit_ratio(),
-            rep.offchip.busy_cycles,
-            rep.stacked.busy_cycles,
-            rep.offchip.avg_queue_delay(),
-            rep.stacked.avg_queue_delay(),
-        ));
+/// Sampled points carry the plan, the per-metric estimates (mean,
+/// stddev, 95% CI half-width, interval count) and the
+/// measured/replayed fractions.
+impl Record for SampledResult {
+    fn write(&self, w: &mut RecordWriter<'_>) {
+        let p = &self.point.point;
+        let rep = &*self.report;
+        let plan = &rep.plan;
+        w.text("workload", p.workload.name());
+        w.text("design", &p.design.label());
+        w.u64("capacity_mb", p.capacity_mb());
+        w.u64("seed", p.seed());
+        w.u64("warmup_records", p.warmup());
+        w.u64("measured_records_total", p.measured());
+        w.hex("key", self.point.key().hash64());
+        w.object("plan", |w| {
+            w.u64("period", plan.period);
+            w.u64("functional_warmup", plan.functional_warmup);
+            w.u64("detail_warmup", plan.detail_warmup);
+            w.u64("interval", plan.interval);
+            // u64::MAX means "replay the whole warmup"; the sentinel
+            // exceeds double precision, so standard JSON readers would
+            // silently corrupt it — emit null instead.
+            w.u64_or_null(
+                "warmup_window",
+                Some(plan.warmup_window).filter(|&n| n != u64::MAX),
+            );
+            w.u64("strata", u64::from(plan.strata));
+        });
+        w.u64("intervals", rep.intervals.len() as u64);
+        w.u64("measured_records", rep.measured_records);
+        w.u64("replayed_records", rep.replayed_records);
+        w.u64("detailed_records", rep.detailed_records);
+        w.f64("measured_fraction", rep.measured_fraction());
+        w.f64("replayed_fraction", rep.replayed_fraction());
+        w.u64("insts", rep.insts);
+        w.u64("cycles", rep.cycles);
+        estimate(w, "ipc", &rep.ipc);
+        estimate(w, "mpki", &rep.mpki);
+        estimate(w, "hit_ratio", &rep.hit_ratio);
+        estimate(w, "offchip_bytes_per_inst", &rep.offchip_bytes_per_inst);
     }
-    out
+}
+
+/// Mix points carry the consolidation metrics and a per-core array
+/// with each core's workload, IPC, MPKI, solo-IPC baseline and relative
+/// speedup.
+impl Record for MixResult {
+    fn write(&self, w: &mut RecordWriter<'_>) {
+        let p = &self.point;
+        let rep = &*self.report;
+        w.text("scenario", &p.scenario.name);
+        w.text("design", &p.design.label());
+        w.u64("capacity_mb", p.capacity_mb());
+        w.u64("seed", p.seed());
+        w.u64("warmup_records", p.warmup());
+        w.u64("measured_records", p.measured());
+        w.hex("key", p.key().hash64());
+        w.u64("insts", rep.insts);
+        w.u64("cycles", rep.cycles);
+        w.f64("throughput", rep.throughput());
+        w.f64("miss_ratio", rep.cache.miss_ratio());
+        w.f64("offchip_bytes_per_inst", rep.offchip_bytes_per_inst());
+        w.f64("weighted_speedup", self.consolidation.weighted_speedup);
+        w.f64("fairness", self.consolidation.fairness);
+        w.objects(
+            "per_core",
+            rep.per_core.iter().enumerate(),
+            |w, (core, c)| {
+                w.u64("core", core as u64);
+                w.text(
+                    "core_workload",
+                    p.scenario.workload_at(core as u8, 0).name(),
+                );
+                core_counters(w, c);
+                w.f64("solo_ipc", self.solo_ipc[core]);
+                w.f64("speedup", self.consolidation.per_core_speedup[core]);
+            },
+        );
+    }
+}
+
+/// Loaded-latency points: one per `(design, interval)`.
+impl Record for LoadedResult {
+    fn write(&self, w: &mut RecordWriter<'_>) {
+        let p = &self.point;
+        w.text("workload", self.workload.name());
+        w.text("design", &self.design.label());
+        w.u64("interval", p.interval);
+        w.f64("injected_gbs", p.injected_gbs);
+        w.f64("achieved_gbs", p.achieved_gbs);
+        w.f64("avg_latency", p.avg_latency);
+        w.u64("max_latency", p.max_latency);
+        w.u64("requests", p.requests);
+        w.u64("cycles", p.cycles);
+        w.f64("stacked_util", p.stacked_util());
+        w.f64("offchip_util", p.offchip_util());
+        w.f64("stacked_avg_queue_delay", p.stacked.avg_queue_delay());
+        w.f64("offchip_avg_queue_delay", p.offchip.avg_queue_delay());
+        w.u64s("stacked_queue_hist", p.stacked.queue_hist.bins());
+        w.u64s("offchip_queue_hist", p.offchip.queue_hist.bins());
+    }
 }
 
 /// Wraps a JSON artifact with a run-provenance header. Arrays become
@@ -212,12 +239,16 @@ pub fn to_metrics_json(
     )
 }
 
-fn stacked_bytes_per_inst(rep: &fc_sim::SimReport) -> f64 {
-    if rep.insts == 0 {
-        0.0
-    } else {
-        rep.stacked.bytes() as f64 / rep.insts as f64
+/// De-duplicated design labels, in first-seen order.
+pub fn design_labels<'a>(designs: impl IntoIterator<Item = &'a DesignSpec>) -> Vec<String> {
+    let mut out: Vec<String> = Vec::new();
+    for d in designs {
+        let label = d.label();
+        if !out.contains(&label) {
+            out.push(label);
+        }
     }
+    out
 }
 
 /// Parallel-speedup numbers for [`to_bench_json`].
@@ -245,155 +276,63 @@ pub fn to_bench_json(
     speedup: Option<SpeedupSummary>,
 ) -> String {
     // Baseline throughput per workload, for performance-speedup rows.
-    let baseline: Vec<(String, f64)> = results
+    let baseline: Vec<(crate::WorkloadKind, f64)> = results
         .iter()
         .filter(|r| r.point.design.label() == "Baseline")
-        .map(|r| (r.point.workload.to_string(), r.report.throughput()))
+        .map(|r| (r.point.workload, r.report.throughput()))
         .collect();
+    let labels = design_labels(results.iter().map(|r| &r.point.design));
+    json_document(|w| {
+        w.text("grid", grid);
+        w.u64("total_points", results.len() as u64);
+        w.f64("wall_secs", wall_secs);
+        w.f64("points_per_sec", ratio(results.len() as f64, wall_secs));
+        w.opt_object("parallel_speedup", speedup, |w, s| {
+            w.f64("sequential_secs", s.sequential_secs);
+            w.f64("parallel_secs", s.parallel_secs);
+            w.u64("threads", s.threads as u64);
+            w.f64("factor", s.sequential_secs / s.parallel_secs.max(1e-9));
+        });
+        w.objects("designs", &labels, |w, label| {
+            let group: Vec<&SweepResult> = results
+                .iter()
+                .filter(|r| r.point.design.label() == *label)
+                .collect();
+            let simulated: Vec<&&SweepResult> = group.iter().filter(|r| !r.memoized).collect();
+            let sim_secs: f64 = simulated.iter().map(|r| r.sim_secs).sum();
+            let ratios: Vec<f64> = group
+                .iter()
+                .filter_map(|r| {
+                    baseline
+                        .iter()
+                        .find(|(w, _)| *w == r.point.workload)
+                        .map(|(_, base)| r.report.throughput() / base)
+                })
+                .collect();
+            w.text("design", label);
+            w.u64("points", group.len() as u64);
+            w.u64("simulated", simulated.len() as u64);
+            w.f64("sim_secs", sim_secs);
+            w.f64("points_per_sec", ratio(simulated.len() as f64, sim_secs));
+            w.f64(
+                "geomean_speedup_vs_baseline",
+                if ratios.is_empty() {
+                    f64::NAN
+                } else {
+                    fc_types::geomean(&ratios)
+                },
+            );
+        });
+    })
+}
 
-    // Group by design label, preserving first-seen order.
-    let mut order: Vec<String> = Vec::new();
-    for r in results {
-        let label = r.point.design.label();
-        if !order.contains(&label) {
-            order.push(label);
-        }
-    }
-
-    let mut designs = String::new();
-    for (i, label) in order.iter().enumerate() {
-        let group: Vec<&SweepResult> = results
-            .iter()
-            .filter(|r| r.point.design.label() == *label)
-            .collect();
-        let simulated: Vec<&&SweepResult> = group.iter().filter(|r| !r.memoized).collect();
-        let sim_secs: f64 = simulated.iter().map(|r| r.sim_secs).sum();
-        let points_per_sec = if sim_secs > 0.0 {
-            simulated.len() as f64 / sim_secs
-        } else {
-            0.0
-        };
-        let ratios: Vec<f64> = group
-            .iter()
-            .filter_map(|r| {
-                let workload = r.point.workload.to_string();
-                baseline
-                    .iter()
-                    .find(|(w, _)| *w == workload)
-                    .map(|(_, base)| r.report.throughput() / base)
-            })
-            .collect();
-        let speedup_vs_baseline = if ratios.is_empty() {
-            "null".to_string()
-        } else {
-            json_num(fc_types::geomean(&ratios))
-        };
-        designs.push_str(&format!(
-            "    {{\"design\": \"{}\", \"points\": {}, \"simulated\": {}, \
-             \"sim_secs\": {}, \"points_per_sec\": {}, \
-             \"geomean_speedup_vs_baseline\": {}}}{}\n",
-            json_escape(label),
-            group.len(),
-            simulated.len(),
-            json_num(sim_secs),
-            json_num(points_per_sec),
-            speedup_vs_baseline,
-            if i + 1 == order.len() { "" } else { "," },
-        ));
-    }
-
-    let speedup_json = match speedup {
-        Some(s) => format!(
-            "{{\"sequential_secs\": {}, \"parallel_secs\": {}, \"threads\": {}, \
-             \"factor\": {}}}",
-            json_num(s.sequential_secs),
-            json_num(s.parallel_secs),
-            s.threads,
-            json_num(s.sequential_secs / s.parallel_secs.max(1e-9)),
-        ),
-        None => "null".to_string(),
-    };
-    let total_per_sec = if wall_secs > 0.0 {
-        results.len() as f64 / wall_secs
+/// `num / den`, or 0 when `den` is not positive.
+fn ratio(num: f64, den: f64) -> f64 {
+    if den > 0.0 {
+        num / den
     } else {
         0.0
-    };
-    format!(
-        "{{\n  \"grid\": \"{}\",\n  \"total_points\": {},\n  \"wall_secs\": {},\n  \
-         \"points_per_sec\": {},\n  \"parallel_speedup\": {},\n  \"designs\": [\n{}  ]\n}}\n",
-        json_escape(grid),
-        results.len(),
-        json_num(wall_secs),
-        json_num(total_per_sec),
-        speedup_json,
-        designs,
-    )
-}
-
-/// Renders loaded-latency results as a JSON array (one object per
-/// `(design, interval)` point, in grid order). `workload` names the
-/// injected access stream (one per loaded grid).
-pub fn to_loaded_json(results: &[crate::LoadedResult], workload: &str) -> String {
-    let mut out = String::from("[\n");
-    for (i, r) in results.iter().enumerate() {
-        let p = &r.point;
-        out.push_str(&format!(
-            "  {{\"workload\": \"{workload}\", \"design\": \"{design}\", \"interval\": {interval}, \
-             \"injected_gbs\": {inj}, \"achieved_gbs\": {ach}, \
-             \"avg_latency\": {avg}, \"max_latency\": {max}, \
-             \"requests\": {reqs}, \"cycles\": {cycles}, \
-             \"stacked_util\": {sutil}, \"offchip_util\": {outil}, \
-             \"stacked_avg_queue_delay\": {sqd}, \"offchip_avg_queue_delay\": {oqd}, \
-             \"stacked_queue_hist\": {shist}, \"offchip_queue_hist\": {ohist}}}{comma}\n",
-            workload = json_escape(workload),
-            design = json_escape(&r.design.label()),
-            interval = p.interval,
-            inj = json_num(p.injected_gbs),
-            ach = json_num(p.achieved_gbs),
-            avg = json_num(p.avg_latency),
-            max = p.max_latency,
-            reqs = p.requests,
-            cycles = p.cycles,
-            sutil = json_num(p.stacked_util()),
-            outil = json_num(p.offchip_util()),
-            sqd = json_num(p.stacked.avg_queue_delay()),
-            oqd = json_num(p.offchip.avg_queue_delay()),
-            shist = hist_json(&p.stacked.queue_hist),
-            ohist = hist_json(&p.offchip.queue_hist),
-            comma = if i + 1 == results.len() { "" } else { "," },
-        ));
     }
-    out.push_str("]\n");
-    out
-}
-
-/// Renders loaded-latency results as CSV with a header row.
-pub fn to_loaded_csv(results: &[crate::LoadedResult], workload: &str) -> String {
-    let mut out = String::from(
-        "workload,design,interval,injected_gbs,achieved_gbs,avg_latency,max_latency,\
-         requests,cycles,stacked_util,offchip_util,\
-         stacked_avg_queue_delay,offchip_avg_queue_delay\n",
-    );
-    for r in results {
-        let p = &r.point;
-        out.push_str(&format!(
-            "{},{},{},{:.3},{:.3},{:.3},{},{},{},{:.6},{:.6},{:.3},{:.3}\n",
-            csv_escape(workload),
-            csv_escape(&r.design.label()),
-            p.interval,
-            p.injected_gbs,
-            p.achieved_gbs,
-            p.avg_latency,
-            p.max_latency,
-            p.requests,
-            p.cycles,
-            p.stacked_util(),
-            p.offchip_util(),
-            p.stacked.avg_queue_delay(),
-            p.offchip.avg_queue_delay(),
-        ));
-    }
-    out
 }
 
 /// Renders the bandwidth benchmark summary for a loaded-latency grid:
@@ -402,129 +341,27 @@ pub fn to_loaded_csv(results: &[crate::LoadedResult], workload: &str) -> String 
 /// injected load. CI emits this as `BENCH_bandwidth.json`, so each
 /// design's bandwidth trajectory is tracked per commit next to
 /// `BENCH_designspace.json`'s throughput trajectory.
-pub fn to_bandwidth_bench_json(
-    results: &[crate::LoadedResult],
-    workload: &str,
-    wall_secs: f64,
-) -> String {
-    let grouped = crate::loaded::curves(results);
-    let mut designs = String::new();
-    for (i, (design, curve)) in grouped.iter().enumerate() {
-        let unloaded = curve.first().map(|p| p.avg_latency).unwrap_or(0.0);
-        let loaded = curve.last().map(|p| p.avg_latency).unwrap_or(0.0);
-        let usable: f64 = curve.iter().map(|p| p.achieved_gbs).fold(0.0, f64::max);
-        designs.push_str(&format!(
-            "    {{\"design\": \"{}\", \"points\": {}, \"unloaded_latency\": {}, \
-             \"loaded_latency\": {}, \"usable_gbs\": {}}}{}\n",
-            json_escape(&design.label()),
-            curve.len(),
-            json_num(unloaded),
-            json_num(loaded),
-            json_num(usable),
-            if i + 1 == grouped.len() { "" } else { "," },
-        ));
-    }
-    format!(
-        "{{\n  \"grid\": \"loaded\",\n  \"workload\": \"{}\",\n  \"total_points\": {},\n  \
-         \"wall_secs\": {},\n  \"designs\": [\n{}  ]\n}}\n",
-        json_escape(workload),
-        results.len(),
-        json_num(wall_secs),
-        designs,
-    )
-}
-
-/// Renders mix results as a JSON array: one object per
-/// `(scenario, design)` point with the consolidation metrics and a
-/// per-core array carrying each core's workload, IPC, MPKI, solo-IPC
-/// baseline and relative speedup.
-pub fn to_mix_json(results: &[crate::MixResult]) -> String {
-    let mut out = String::from("[\n");
-    for (i, r) in results.iter().enumerate() {
-        let p = &r.point;
-        let rep = &r.report;
-        let per_core: Vec<String> = rep
-            .per_core
-            .iter()
-            .enumerate()
-            .map(|(core, c)| {
-                format!(
-                    "{{\"core\": {core}, \"core_workload\": \"{}\", \"insts\": {}, \
-                     \"cycles\": {}, \"l2_misses\": {}, \"ipc\": {}, \"mpki\": {}, \
-                     \"solo_ipc\": {}, \"speedup\": {}}}",
-                    json_escape(p.scenario.workload_at(core as u8, 0).name()),
-                    c.insts,
-                    c.cycles,
-                    c.l2_misses,
-                    json_num(c.ipc()),
-                    json_num(c.mpki()),
-                    json_num(r.solo_ipc[core]),
-                    json_num(r.consolidation.per_core_speedup[core]),
-                )
-            })
-            .collect();
-        out.push_str(&format!(
-            "  {{\"scenario\": \"{scenario}\", \"design\": \"{design}\", \
-             \"capacity_mb\": {mb}, \"seed\": {seed}, \
-             \"warmup_records\": {warmup}, \"measured_records\": {measured}, \
-             \"key\": \"{key:016x}\", \
-             \"insts\": {insts}, \"cycles\": {cycles}, \"throughput\": {tput}, \
-             \"miss_ratio\": {miss}, \"offchip_bytes_per_inst\": {obpi}, \
-             \"weighted_speedup\": {ws}, \"fairness\": {fair}, \
-             \"per_core\": [{per_core}]}}{comma}\n",
-            scenario = json_escape(&p.scenario.name),
-            design = json_escape(&p.design.label()),
-            mb = p.capacity_mb(),
-            seed = p.seed(),
-            warmup = p.warmup(),
-            measured = p.measured(),
-            key = p.key().hash64(),
-            insts = rep.insts,
-            cycles = rep.cycles,
-            tput = json_num(rep.throughput()),
-            miss = json_num(rep.cache.miss_ratio()),
-            obpi = json_num(rep.offchip_bytes_per_inst()),
-            ws = json_num(r.consolidation.weighted_speedup),
-            fair = json_num(r.consolidation.fairness),
-            per_core = per_core.join(", "),
-            comma = if i + 1 == results.len() { "" } else { "," },
-        ));
-    }
-    out.push_str("]\n");
-    out
-}
-
-/// Renders mix results as long-format CSV: one row per
-/// `(scenario, design, core)`, with the scenario-level consolidation
-/// metrics repeated on every row so each row is self-contained.
-pub fn to_mix_csv(results: &[crate::MixResult]) -> String {
-    let mut out = String::from(
-        "scenario,design,capacity_mb,core,core_workload,insts,cycles,l2_misses,\
-         ipc,mpki,solo_ipc,speedup,weighted_speedup,fairness\n",
-    );
-    for r in results {
-        let p = &r.point;
-        for (core, c) in r.report.per_core.iter().enumerate() {
-            out.push_str(&format!(
-                "{},{},{},{},{},{},{},{},{:.6},{:.6},{:.6},{:.6},{:.6},{:.6}\n",
-                csv_escape(&p.scenario.name),
-                csv_escape(&p.design.label()),
-                p.capacity_mb(),
-                core,
-                csv_escape(p.scenario.workload_at(core as u8, 0).name()),
-                c.insts,
-                c.cycles,
-                c.l2_misses,
-                c.ipc(),
-                c.mpki(),
-                r.solo_ipc[core],
-                r.consolidation.per_core_speedup[core],
-                r.consolidation.weighted_speedup,
-                r.consolidation.fairness,
-            ));
-        }
-    }
-    out
+pub fn to_bandwidth_bench_json(results: &[LoadedResult], workload: &str, wall_secs: f64) -> String {
+    json_document(|w| {
+        w.text("grid", "loaded");
+        w.text("workload", workload);
+        w.u64("total_points", results.len() as u64);
+        w.f64("wall_secs", wall_secs);
+        w.objects(
+            "designs",
+            crate::loaded::curves(results),
+            |w, (design, curve)| {
+                // Unloaded: the flat end of the curve; loaded: the
+                // heaviest injected rate.
+                let latency = |p: Option<&LoadedPoint>| p.map_or(0.0, |p| p.avg_latency);
+                w.text("design", &design.label());
+                w.u64("points", curve.len() as u64);
+                w.f64("unloaded_latency", latency(curve.first()));
+                w.f64("loaded_latency", latency(curve.last()));
+                w.f64("usable_gbs", usable_bandwidth(&curve));
+            },
+        );
+    })
 }
 
 /// Renders the consolidation benchmark summary for a finished mix
@@ -533,166 +370,33 @@ pub fn to_mix_csv(results: &[crate::MixResult]) -> String {
 /// weighted speedup across scenarios. CI emits this as
 /// `BENCH_mix.json` next to `BENCH_designspace.json` and
 /// `BENCH_bandwidth.json`.
-pub fn to_mix_bench_json(results: &[crate::MixResult], wall_secs: f64) -> String {
-    let mut rows = String::new();
-    for (i, r) in results.iter().enumerate() {
-        rows.push_str(&format!(
-            "    {{\"scenario\": \"{}\", \"design\": \"{}\", \
-             \"weighted_speedup\": {}, \"fairness\": {}, \"throughput\": {}, \
-             \"sim_secs\": {}, \"memoized\": {}}}{}\n",
-            json_escape(&r.point.scenario.name),
-            json_escape(&r.point.design.label()),
-            json_num(r.consolidation.weighted_speedup),
-            json_num(r.consolidation.fairness),
-            json_num(r.report.throughput()),
-            json_num(r.sim_secs),
-            r.memoized,
-            if i + 1 == results.len() { "" } else { "," },
-        ));
-    }
-
-    // Per-design geomean weighted speedup across scenarios.
-    let mut order: Vec<String> = Vec::new();
-    for r in results {
-        let label = r.point.design.label();
-        if !order.contains(&label) {
-            order.push(label);
-        }
-    }
-    let mut designs = String::new();
-    for (i, label) in order.iter().enumerate() {
-        let speedups: Vec<f64> = results
-            .iter()
-            .filter(|r| r.point.design.label() == *label)
-            .map(|r| r.consolidation.weighted_speedup)
-            .collect();
-        designs.push_str(&format!(
-            "    {{\"design\": \"{}\", \"scenarios\": {}, \
-             \"geomean_weighted_speedup\": {}}}{}\n",
-            json_escape(label),
-            speedups.len(),
-            json_num(fc_types::geomean(&speedups)),
-            if i + 1 == order.len() { "" } else { "," },
-        ));
-    }
-
-    format!(
-        "{{\n  \"grid\": \"mix\",\n  \"total_points\": {},\n  \"wall_secs\": {},\n  \
-         \"points\": [\n{}  ],\n  \"designs\": [\n{}  ]\n}}\n",
-        results.len(),
-        json_num(wall_secs),
-        rows,
-        designs,
-    )
-}
-
-/// Renders an [`Estimate`](crate::Estimate) as a JSON object.
-fn estimate_json(e: &crate::Estimate) -> String {
-    format!(
-        "{{\"mean\": {}, \"stddev\": {}, \"ci_half\": {}, \"n\": {}}}",
-        json_num(e.mean),
-        json_num(e.stddev),
-        json_num(e.ci_half),
-        e.n
-    )
-}
-
-/// Renders sampled results as a JSON array: one object per point with
-/// the plan, the per-metric estimates (mean, stddev, 95% CI
-/// half-width, interval count), and the measured/replayed fractions.
-pub fn to_sampled_json(results: &[crate::SampledResult]) -> String {
-    let mut out = String::from("[\n");
-    for (i, r) in results.iter().enumerate() {
-        let p = &r.point.point;
-        let rep = &r.report;
-        let plan = &rep.plan;
-        out.push_str(&format!(
-            "  {{\"workload\": \"{workload}\", \"design\": \"{design}\", \
-             \"capacity_mb\": {mb}, \"seed\": {seed}, \
-             \"warmup_records\": {warmup}, \"measured_records_total\": {measured}, \
-             \"key\": \"{key:016x}\", \
-             \"plan\": {{\"period\": {period}, \"functional_warmup\": {func}, \
-             \"detail_warmup\": {dw}, \"interval\": {interval}, \
-             \"warmup_window\": {window}, \"strata\": {strata}}}, \
-             \"intervals\": {n}, \"measured_records\": {meas}, \
-             \"replayed_records\": {replayed}, \"detailed_records\": {detailed}, \
-             \"measured_fraction\": {mfrac}, \"replayed_fraction\": {rfrac}, \
-             \"insts\": {insts}, \"cycles\": {cycles}, \
-             \"ipc\": {ipc}, \"mpki\": {mpki}, \"hit_ratio\": {hit}, \
-             \"offchip_bytes_per_inst\": {obpi}}}{comma}\n",
-            workload = json_escape(&p.workload.to_string()),
-            design = json_escape(&p.design.label()),
-            mb = p.capacity_mb(),
-            seed = p.seed(),
-            warmup = p.warmup(),
-            measured = p.measured(),
-            key = r.point.key().hash64(),
-            period = plan.period,
-            func = plan.functional_warmup,
-            dw = plan.detail_warmup,
-            interval = plan.interval,
-            // u64::MAX means "replay the whole warmup"; the sentinel
-            // exceeds double precision, so standard JSON readers would
-            // silently corrupt it — emit null instead.
-            window = if plan.warmup_window == u64::MAX {
-                "null".to_string()
-            } else {
-                plan.warmup_window.to_string()
-            },
-            strata = plan.strata,
-            n = rep.intervals.len(),
-            meas = rep.measured_records,
-            replayed = rep.replayed_records,
-            detailed = rep.detailed_records,
-            mfrac = json_num(rep.measured_fraction()),
-            rfrac = json_num(rep.replayed_fraction()),
-            insts = rep.insts,
-            cycles = rep.cycles,
-            ipc = estimate_json(&rep.ipc),
-            mpki = estimate_json(&rep.mpki),
-            hit = estimate_json(&rep.hit_ratio),
-            obpi = estimate_json(&rep.offchip_bytes_per_inst),
-            comma = if i + 1 == results.len() { "" } else { "," },
-        ));
-    }
-    out.push_str("]\n");
-    out
-}
-
-/// Renders sampled results as CSV with a header row (point estimates
-/// and CI half-widths per metric, plus the work fractions).
-pub fn to_sampled_csv(results: &[crate::SampledResult]) -> String {
-    let mut out = String::from(
-        "workload,design,capacity_mb,seed,intervals,period,interval_records,\
-         measured_fraction,replayed_fraction,\
-         ipc,ipc_ci,mpki,mpki_ci,hit_ratio,hit_ratio_ci,\
-         offchip_bytes_per_inst,offchip_bytes_per_inst_ci\n",
-    );
-    for r in results {
-        let p = &r.point.point;
-        let rep = &r.report;
-        out.push_str(&format!(
-            "{},{},{},{},{},{},{},{:.6},{:.6},{:.6},{:.6},{:.6},{:.6},{:.6},{:.6},{:.6},{:.6}\n",
-            csv_escape(&p.workload.to_string()),
-            csv_escape(&p.design.label()),
-            p.capacity_mb(),
-            p.seed(),
-            rep.intervals.len(),
-            rep.plan.period,
-            rep.plan.interval,
-            rep.measured_fraction(),
-            rep.replayed_fraction(),
-            rep.ipc.mean,
-            rep.ipc.ci_half,
-            rep.mpki.mean,
-            rep.mpki.ci_half,
-            rep.hit_ratio.mean,
-            rep.hit_ratio.ci_half,
-            rep.offchip_bytes_per_inst.mean,
-            rep.offchip_bytes_per_inst.ci_half,
-        ));
-    }
-    out
+pub fn to_mix_bench_json(results: &[MixResult], wall_secs: f64) -> String {
+    let labels = design_labels(results.iter().map(|r| &r.point.design));
+    json_document(|w| {
+        w.text("grid", "mix");
+        w.u64("total_points", results.len() as u64);
+        w.f64("wall_secs", wall_secs);
+        w.objects("points", results, |w, r| {
+            w.text("scenario", &r.point.scenario.name);
+            w.text("design", &r.point.design.label());
+            w.f64("weighted_speedup", r.consolidation.weighted_speedup);
+            w.f64("fairness", r.consolidation.fairness);
+            w.f64("throughput", r.report.throughput());
+            w.f64("sim_secs", r.sim_secs);
+            w.bool("memoized", r.memoized);
+        });
+        // Per-design geomean weighted speedup across scenarios.
+        w.objects("designs", &labels, |w, label| {
+            let speedups: Vec<f64> = results
+                .iter()
+                .filter(|r| r.point.design.label() == *label)
+                .map(|r| r.consolidation.weighted_speedup)
+                .collect();
+            w.text("design", label);
+            w.u64("scenarios", speedups.len() as u64);
+            w.f64("geomean_weighted_speedup", fc_types::geomean(&speedups));
+        });
+    })
 }
 
 /// Renders the speedup-vs-error benchmark for a sampled grid run next
@@ -708,7 +412,7 @@ pub fn to_sampled_csv(results: &[crate::SampledResult]) -> String {
 /// Panics if `sampled` and `full` differ in length or point order —
 /// they must come from the same spec.
 pub fn to_sample_bench_json(
-    sampled: &[crate::SampledResult],
+    sampled: &[SampledResult],
     full: &[SweepResult],
     sampled_wall_secs: f64,
     full_wall_secs: f64,
@@ -718,86 +422,58 @@ pub fn to_sample_bench_json(
         full.len(),
         "sampled and full result sets must cover the same spec"
     );
-    let mut rows = String::new();
-    let mut speedups: Vec<f64> = Vec::new();
-    let mut worst_err: f64 = 0.0;
-    let mut covered = 0usize;
-    let mut full_secs_total = 0.0;
-    let mut sampled_secs_total = 0.0;
-    for (i, (s, f)) in sampled.iter().zip(full).enumerate() {
-        assert_eq!(s.point.point, f.point, "point order mismatch");
-        let full_ipc = f.report.throughput();
-        let est = &s.report.ipc;
-        let rel_err = if full_ipc != 0.0 {
-            (est.mean - full_ipc) / full_ipc
-        } else {
-            0.0
-        };
-        let within_ci = est.contains(full_ipc);
-        let speedup = if s.sim_secs > 0.0 {
-            f.sim_secs / s.sim_secs
-        } else {
-            0.0
-        };
-        if speedup > 0.0 {
-            speedups.push(speedup);
-        }
-        worst_err = worst_err.max(rel_err.abs());
-        covered += usize::from(within_ci);
-        full_secs_total += f.sim_secs;
-        sampled_secs_total += s.sim_secs;
-        rows.push_str(&format!(
-            "    {{\"workload\": \"{}\", \"design\": \"{}\", \
-             \"full_ipc\": {}, \"sampled_ipc\": {}, \"ipc_ci_half\": {}, \
-             \"rel_err\": {}, \"within_ci\": {}, \
-             \"full_hit_ratio\": {}, \"sampled_hit_ratio\": {}, \
-             \"full_secs\": {}, \"sampled_secs\": {}, \"speedup\": {}, \
-             \"exhaustive\": {}, \"measured_fraction\": {}, \"replayed_fraction\": {}}}{}\n",
-            json_escape(&f.point.workload.to_string()),
-            json_escape(&f.point.design.label()),
-            json_num(full_ipc),
-            json_num(est.mean),
-            json_num(est.ci_half),
-            json_num(rel_err),
-            within_ci,
-            json_num(f.report.cache.hit_ratio()),
-            json_num(s.report.hit_ratio.mean),
-            json_num(f.sim_secs),
-            json_num(s.sim_secs),
-            json_num(speedup),
-            s.report.plan.skip() == 0,
-            json_num(s.report.measured_fraction()),
-            json_num(s.report.replayed_fraction()),
-            if i + 1 == sampled.len() { "" } else { "," },
-        ));
-    }
-    let geomean = if speedups.is_empty() {
-        0.0
-    } else {
-        fc_types::geomean(&speedups)
-    };
-    let total_speedup = if sampled_secs_total > 0.0 {
-        full_secs_total / sampled_secs_total
-    } else {
-        0.0
-    };
-    format!(
-        "{{\n  \"grid\": \"sampled\",\n  \"points\": {},\n  \
-         \"full_wall_secs\": {},\n  \"sampled_wall_secs\": {},\n  \
-         \"full_sim_secs\": {},\n  \"sampled_sim_secs\": {},\n  \
-         \"total_speedup\": {},\n  \"geomean_speedup\": {},\n  \
-         \"max_abs_rel_err\": {},\n  \"within_ci\": {},\n  \"rows\": [\n{}  ]\n}}\n",
-        sampled.len(),
-        json_num(full_wall_secs),
-        json_num(sampled_wall_secs),
-        json_num(full_secs_total),
-        json_num(sampled_secs_total),
-        json_num(total_speedup),
-        json_num(geomean),
-        json_num(worst_err),
-        covered,
-        rows,
-    )
+    // (full IPC, relative error, within CI, wall speedup) per point.
+    let rows: Vec<(f64, f64, bool, f64)> = sampled
+        .iter()
+        .zip(full)
+        .map(|(s, f)| {
+            assert_eq!(s.point.point, f.point, "point order mismatch");
+            let full_ipc = f.report.throughput();
+            let est = &s.report.ipc;
+            let rel_err = ratio(est.mean - full_ipc, full_ipc);
+            let speedup = ratio(f.sim_secs, s.sim_secs);
+            (full_ipc, rel_err, est.contains(full_ipc), speedup)
+        })
+        .collect();
+    let speedups: Vec<f64> = rows.iter().map(|r| r.3).filter(|&x| x > 0.0).collect();
+    let full_secs: f64 = full.iter().map(|f| f.sim_secs).sum();
+    let sampled_secs: f64 = sampled.iter().map(|s| s.sim_secs).sum();
+    json_document(|w| {
+        w.text("grid", "sampled");
+        w.u64("points", sampled.len() as u64);
+        w.f64("full_wall_secs", full_wall_secs);
+        w.f64("sampled_wall_secs", sampled_wall_secs);
+        w.f64("full_sim_secs", full_secs);
+        w.f64("sampled_sim_secs", sampled_secs);
+        w.f64("total_speedup", ratio(full_secs, sampled_secs));
+        w.f64("geomean_speedup", fc_types::geomean(&speedups));
+        w.f64(
+            "max_abs_rel_err",
+            rows.iter().map(|r| r.1.abs()).fold(0.0, f64::max),
+        );
+        w.u64("within_ci", rows.iter().filter(|r| r.2).count() as u64);
+        w.objects(
+            "rows",
+            sampled.iter().zip(full).zip(&rows),
+            |w, ((s, f), &(full_ipc, rel_err, within_ci, speedup))| {
+                w.text("workload", f.point.workload.name());
+                w.text("design", &f.point.design.label());
+                w.f64("full_ipc", full_ipc);
+                w.f64("sampled_ipc", s.report.ipc.mean);
+                w.f64("ipc_ci_half", s.report.ipc.ci_half);
+                w.f64("rel_err", rel_err);
+                w.bool("within_ci", within_ci);
+                w.f64("full_hit_ratio", f.report.cache.hit_ratio());
+                w.f64("sampled_hit_ratio", s.report.hit_ratio.mean);
+                w.f64("full_secs", f.sim_secs);
+                w.f64("sampled_secs", s.sim_secs);
+                w.f64("speedup", speedup);
+                w.bool("exhaustive", s.report.plan.skip() == 0);
+                w.f64("measured_fraction", s.report.measured_fraction());
+                w.f64("replayed_fraction", s.report.replayed_fraction());
+            },
+        );
+    })
 }
 
 #[cfg(test)]
@@ -835,16 +511,29 @@ mod tests {
         assert!(lines[1].contains("Baseline"));
     }
 
+    /// A one-string record, for exercising the writer's escaping.
+    struct Text(&'static str);
+
+    impl Record for Text {
+        fn write(&self, w: &mut RecordWriter<'_>) {
+            w.text("name", self.0);
+        }
+    }
+
     #[test]
     fn csv_quotes_fields_with_commas() {
-        assert_eq!(csv_escape("a,b"), "\"a,b\"");
-        assert_eq!(csv_escape("plain"), "plain");
-        assert_eq!(csv_escape("say \"hi\""), "\"say \"\"hi\"\"\"");
+        let row = |s| to_csv(&[Text(s)]).lines().nth(1).unwrap().to_string();
+        assert_eq!(row("a,b"), "\"a,b\"");
+        assert_eq!(row("plain"), "plain");
+        assert_eq!(row("say \"hi\""), "\"say \"\"hi\"\"\"");
     }
 
     #[test]
     fn json_escapes_control_characters() {
-        assert_eq!(json_escape("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
+        assert_eq!(fc_sim::json::escape("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
+        let mut out = String::new();
+        write_json(&mut out, &Text("a\"b\u{1}"));
+        assert_eq!(out, "{\"name\": \"a\\\"b\\u0001\"}");
     }
 
     #[test]
@@ -882,12 +571,12 @@ mod tests {
             },
         };
         let results = crate::run_loaded(&grid, 2);
-        let json = to_loaded_json(&results, "web search");
+        let json = to_json(&results);
         assert_eq!(json.matches("\"design\"").count(), 4);
         assert!(json.contains("\"injected_gbs\""));
         assert!(json.contains("\"stacked_queue_hist\""));
-        assert!(json.contains("\"workload\": \"web search\""));
-        let csv = to_loaded_csv(&results, "web search");
+        assert!(json.contains("\"workload\": \"Web Search\""));
+        let csv = to_csv(&results);
         assert_eq!(csv.lines().count(), 5); // header + 4 rows
         assert!(csv.starts_with("workload,design,"));
         let bench = to_bandwidth_bench_json(&results, "web search", 0.25);
@@ -923,7 +612,7 @@ mod tests {
         .with_config(SimConfig::small());
         let results = crate::run_mix(&grid, &SweepEngine::new().with_threads(2).quiet());
 
-        let json = to_mix_json(&results);
+        let json = to_json(&results);
         assert_eq!(json.matches("\"scenario\"").count(), 2);
         assert_eq!(json.matches("\"core_workload\"").count(), 8);
         assert!(json.contains("\"weighted_speedup\""));
@@ -931,12 +620,14 @@ mod tests {
         assert!(json.contains("\"core_workload\": \"Data Serving\""));
         assert!(json.contains("\"core_workload\": \"MapReduce\""));
 
-        let csv = to_mix_csv(&results);
+        let csv = to_csv(&results);
         let lines: Vec<_> = csv.lines().collect();
-        assert_eq!(lines.len(), 1 + 2 * 4, "header + one row per core");
+        assert_eq!(lines.len(), 1 + 2, "header + one row per point");
         assert!(lines[0].starts_with("scenario,design,"));
-        assert!(lines[0].contains("solo_ipc"));
-        assert!(lines[1].contains("Data Serving+MapReduce"));
+        assert!(lines[0].ends_with(",weighted_speedup,fairness"));
+        // Per-core figures are JSON-only.
+        assert!(!lines[0].contains("solo_ipc"));
+        assert!(lines[1].starts_with("Data Serving+MapReduce,Baseline,"));
 
         let bench = to_mix_bench_json(&results, 0.5);
         assert!(bench.contains("\"grid\": \"mix\""));
@@ -963,10 +654,11 @@ mod tests {
         assert!(json.contains("\"replayed_fraction\""));
         assert!(json.contains("\"design\": \"Footprint 64MB\""));
 
-        let csv = to_sampled_csv(&sampled);
+        let csv = to_csv(&sampled);
         let lines: Vec<_> = csv.lines().collect();
         assert_eq!(lines.len(), 3);
-        assert!(lines[0].contains("ipc_ci"));
+        assert!(lines[0].contains(",plan.period,"));
+        assert!(lines[0].contains(",ipc.mean,ipc.stddev,ipc.ci_half,ipc.n,"));
         assert!(lines[1].contains("Baseline"));
 
         let bench = to_sample_bench_json(&sampled, &full, 0.5, 2.0);

@@ -90,7 +90,7 @@ pub use scale::RunScale;
 pub use serve::{
     serve_jsonl, serve_jsonl_observed, serve_spool, serve_spool_observed, ServeOptions,
 };
-pub use spec::{SweepPoint, SweepSpec};
+pub use spec::{parse_workload, preset_families, SweepPoint, SweepSpec};
 pub use store::{PointKey, ResultStore};
 pub use trace_cache::TraceCache;
 

@@ -7,6 +7,7 @@
 
 use fc_sim::loaded::{self, LoadedConfig, LoadedPoint, STANDARD_INTERVALS};
 use fc_sim::DesignSpec;
+use fc_trace::WorkloadKind;
 
 use crate::pool;
 
@@ -56,8 +57,10 @@ impl LoadedGrid {
 }
 
 /// One finished loaded-latency point.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct LoadedResult {
+    /// The workload whose access stream was injected.
+    pub workload: WorkloadKind,
     /// The design measured.
     pub design: DesignSpec,
     /// The measured point.
@@ -82,6 +85,7 @@ pub fn run_loaded(grid: &LoadedGrid, threads: usize) -> Vec<LoadedResult> {
         .iter()
         .zip(measured)
         .map(|(&(d, _), point)| LoadedResult {
+            workload: grid.config.workload,
             design: grid.designs[d],
             point,
         })

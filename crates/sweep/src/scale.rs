@@ -35,6 +35,17 @@ impl RunScale {
         capacity_mb.unwrap_or(Self::COMPARABLE_CAPACITY_MB)
     }
 
+    /// The scale called `name` (`quick`, `full`, `tiny` or `long`).
+    pub fn named(name: &str) -> Result<Self, String> {
+        match name {
+            "quick" => Ok(Self::quick()),
+            "full" => Ok(Self::full()),
+            "tiny" => Ok(Self::tiny()),
+            "long" => Ok(Self::long()),
+            other => Err(format!("unknown scale `{other}`")),
+        }
+    }
+
     /// The scale used for the checked-in experiment outputs.
     pub fn full() -> Self {
         Self {

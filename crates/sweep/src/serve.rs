@@ -5,8 +5,8 @@
 //! request against the engine's result store — durable, when the CLI
 //! passed `--store` — and schedules only the missing points on the
 //! deterministic executor. Results stream back as JSONL: one `point`
-//! record per sweep point (the same record shape as
-//! [`emit::to_json`](crate::emit::to_json)) followed by one `summary`
+//! record per sweep point (the same record text as one
+//! [`emit::to_json`](crate::emit::to_json) element) followed by one `summary`
 //! record per request.
 //!
 //! # Request shape
@@ -35,7 +35,7 @@ use std::path::Path;
 
 use fc_obs::{metrics, trace};
 use fc_sim::json::{escape, JsonValue};
-use fc_sim::registry::{resolve_designs, DESIGN_FAMILIES};
+use fc_sim::registry::resolve_designs;
 use fc_sim::DesignSpec;
 use fc_trace::WorkloadKind;
 
@@ -43,7 +43,7 @@ use crate::emit;
 use crate::executor::SweepEngine;
 use crate::monitor::ServiceMonitor;
 use crate::scale::RunScale;
-use crate::spec::SweepSpec;
+use crate::spec::{parse_workload, preset_families, SweepSpec};
 
 /// Bounds (milliseconds) of the request-latency histograms. Serve
 /// requests span four orders of magnitude — memoized answers in
@@ -91,46 +91,6 @@ struct ServeRequest {
     spec: SweepSpec,
 }
 
-fn parse_workload(name: &str) -> Result<WorkloadKind, String> {
-    WorkloadKind::ALL
-        .into_iter()
-        .find(|w| w.name().eq_ignore_ascii_case(name.trim()))
-        .ok_or_else(|| {
-            format!(
-                "unknown workload `{name}`; pick from: {}",
-                WorkloadKind::ALL.map(|w| w.name()).join(", ")
-            )
-        })
-}
-
-fn parse_scale(name: &str) -> Result<RunScale, String> {
-    match name {
-        "quick" => Ok(RunScale::quick()),
-        "full" => Ok(RunScale::full()),
-        "tiny" => Ok(RunScale::tiny()),
-        "long" => Ok(RunScale::long()),
-        other => Err(format!("unknown scale `{other}`")),
-    }
-}
-
-/// The design list a `grid` preset expands to (the serve-side mirror
-/// of the CLI's presets; `designs` in the request overrides this).
-fn preset_design_list(grid: &str) -> Result<String, String> {
-    match grid {
-        "fig4" => Ok("page".to_string()),
-        "fig5" => Ok("baseline,page,footprint,block".to_string()),
-        "fig67" => Ok("baseline,ideal,block,page,footprint".to_string()),
-        "designspace" => Ok(DESIGN_FAMILIES
-            .iter()
-            .map(|f| f.name)
-            .collect::<Vec<_>>()
-            .join(",")),
-        other => Err(format!(
-            "unknown grid `{other}` (serve knows fig4 | fig5 | fig67 | designspace)"
-        )),
-    }
-}
-
 /// The request `id`, recovered on a best-effort basis so even a
 /// malformed request gets an addressable error response.
 fn request_id(v: &JsonValue) -> String {
@@ -170,14 +130,19 @@ fn parse_request(v: &JsonValue) -> Result<ServeRequest, String> {
 
     let design_list = match (v.get("designs"), v.get("grid")) {
         (Some(list), _) => list.as_str()?.to_string(),
-        (None, Some(grid)) => preset_design_list(grid.as_str()?)?,
-        (None, None) => preset_design_list("designspace")?,
+        (None, Some(grid)) => {
+            let grid = grid.as_str()?;
+            preset_families(grid).ok_or_else(|| {
+                format!("unknown grid `{grid}` (serve knows fig4 | fig5 | fig67 | designspace)")
+            })?
+        }
+        (None, None) => preset_families("designspace").expect("designspace is a preset"),
     };
     let designs: Vec<DesignSpec> = resolve_designs(&design_list, &capacities)?;
 
     let scale = match v.get("scale") {
         None => RunScale::quick(),
-        Some(s) => parse_scale(s.as_str()?)?,
+        Some(s) => RunScale::named(s.as_str()?)?,
     };
     let seed = match v.get("seed") {
         None => SweepSpec::DEFAULT_SEED,

@@ -1,10 +1,43 @@
 //! Declarative sweep descriptions: points and grids.
 
-use fc_sim::{DesignSpec, SimConfig};
+use fc_sim::{DesignSpec, SimConfig, DESIGN_FAMILIES};
 use fc_trace::WorkloadKind;
 
 use crate::scale::RunScale;
 use crate::store::PointKey;
+
+/// The registry families a named figure grid sweeps (`fig4`, `fig5`,
+/// `fig67`, `designspace`), as a comma list for
+/// [`resolve_designs`](fc_sim::resolve_designs).
+pub fn preset_families(grid: &str) -> Option<String> {
+    Some(match grid {
+        // Figure 4 measures page access density on the page-based cache
+        // across capacities.
+        "fig4" => "page".to_string(),
+        // Figure 5: miss ratio + off-chip traffic for page, footprint,
+        // block, against the baseline.
+        "fig5" => "baseline,page,footprint,block".to_string(),
+        // Figures 6/7: performance improvement incl. the ideal bound.
+        "fig67" => "baseline,ideal,block,page,footprint".to_string(),
+        // The whole registry: every family the reproduction knows.
+        "designspace" => {
+            let names: Vec<&str> = DESIGN_FAMILIES.iter().map(|f| f.name).collect();
+            names.join(",")
+        }
+        _ => return None,
+    })
+}
+
+/// The workload called `name` (ASCII case and surrounding whitespace
+/// ignored).
+pub fn parse_workload(name: &str) -> Result<WorkloadKind, String> {
+    WorkloadKind::from_name(name.trim()).ok_or_else(|| {
+        format!(
+            "unknown workload `{name}`; pick from: {}",
+            WorkloadKind::ALL.map(|w| w.name()).join(", ")
+        )
+    })
+}
 
 /// One experiment in a sweep: a fully specified, independently runnable
 /// simulation. Two points with equal configuration have equal

@@ -28,7 +28,8 @@
 
 use serde::{Deserialize, Serialize};
 
-use fc_types::json::{escape, JsonValue};
+use fc_types::json::JsonValue;
+use fc_types::record::json_object;
 
 use crate::record::TraceRecord;
 use crate::synth::{CoreEngine, WorkloadKind};
@@ -147,24 +148,14 @@ impl ScenarioSpec {
     /// Serializes the scenario as canonical JSON (fixed field order) —
     /// the stable encoding sweep stores hash.
     pub fn to_json(&self) -> String {
-        let assignments: Vec<String> = self
-            .assignments
-            .iter()
-            .map(|w| format!("\"{}\"", escape(w.name())))
-            .collect();
-        let phase = match self.phase {
-            Some(p) => format!(
-                "{{\"len_insts\": {}, \"rotate_by\": {}}}",
-                p.len_insts, p.rotate_by
-            ),
-            None => "null".to_string(),
-        };
-        format!(
-            "{{\"name\": \"{}\", \"assignments\": [{}], \"phase\": {}}}",
-            escape(&self.name),
-            assignments.join(", "),
-            phase
-        )
+        json_object(|w| {
+            w.text("name", &self.name);
+            w.texts("assignments", self.assignments.iter().map(|a| a.name()));
+            w.opt_object("phase", self.phase, |w, p| {
+                w.u64("len_insts", p.len_insts);
+                w.u64("rotate_by", p.rotate_by.into());
+            });
+        })
     }
 
     /// Parses a scenario from [`to_json`](ScenarioSpec::to_json)'s
@@ -177,9 +168,7 @@ impl ScenarioSpec {
                 .iter()
                 .map(|item| {
                     let name = item.as_str()?;
-                    WorkloadKind::ALL
-                        .into_iter()
-                        .find(|w| w.name().eq_ignore_ascii_case(name))
+                    WorkloadKind::from_name(name)
                         .ok_or_else(|| format!("unknown workload `{name}`"))
                 })
                 .collect::<Result<Vec<_>, _>>()?,

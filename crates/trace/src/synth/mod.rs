@@ -190,6 +190,14 @@ impl WorkloadKind {
         }
     }
 
+    /// The workload whose [`name`](Self::name) matches, ignoring ASCII
+    /// case.
+    pub fn from_name(name: &str) -> Option<Self> {
+        Self::ALL
+            .into_iter()
+            .find(|w| w.name().eq_ignore_ascii_case(name))
+    }
+
     /// The generative model for this workload. Parameters are documented
     /// class by class; rates target the paper's 0.6–1.6 GB/s per-core
     /// baseline bandwidth band, and visit durations are sized against

@@ -320,6 +320,12 @@ impl Parser<'_> {
 /// Escapes a string for a JSON value position.
 pub fn escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
+    escape_into(&mut out, s);
+    out
+}
+
+/// [`escape`], appending to `out` instead of allocating.
+pub fn escape_into(out: &mut String, s: &str) {
     for c in s.chars() {
         match c {
             '"' => out.push_str("\\\""),
@@ -327,11 +333,13 @@ pub fn escape(s: &str) -> String {
             '\n' => out.push_str("\\n"),
             '\r' => out.push_str("\\r"),
             '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
+            c if (c as u32) < 0x20 => {
+                use std::fmt::Write;
+                let _ = write!(out, "\\u{:04x}", c as u32);
+            }
             c => out.push(c),
         }
     }
-    out
 }
 
 #[cfg(test)]

@@ -43,6 +43,7 @@ mod fnv;
 mod footprint;
 mod geometry;
 pub mod json;
+pub mod record;
 mod util;
 
 pub use access::{AccessKind, CoreId, MemAccess};

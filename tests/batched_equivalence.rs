@@ -1,13 +1,12 @@
-//! The batched replay path must be bit-identical to the per-record
-//! path: `Simulation::step_slice` / `step_batch` exist purely to
-//! amortize loop overhead, so for every registered design family the
-//! `SimReport` after a batched replay must equal the one after stepping
-//! the same records one at a time — and the equality must hold for
-//! *any* placement of batch boundaries, including mid row-burst.
+//! Slice replay must be bit-identical to the per-record path: for
+//! every registered design family the `SimReport` after
+//! `Simulation::step_slice` must equal the one after stepping the same
+//! records one at a time — and the equality must hold for *any*
+//! placement of slice boundaries, including mid row-burst.
 
 use proptest::prelude::*;
 
-use fc_sim::{RecordBatch, ReportSnapshot, SimConfig, SimReport, Simulation, DESIGN_FAMILIES};
+use fc_sim::{ReportSnapshot, SimConfig, SimReport, Simulation, DESIGN_FAMILIES};
 use fc_trace::{TraceGenerator, TraceRecord, WorkloadKind};
 
 const WARMUP: usize = 4_000;
@@ -61,23 +60,6 @@ fn batched_replay_is_bit_identical_for_every_design() {
             );
         }
     }
-}
-
-#[test]
-fn step_batch_matches_step_slice() {
-    let rs = records(WorkloadKind::WebSearch, 6_000);
-    let design = fc_sim::DesignSpec::footprint(64);
-
-    let mut a = Simulation::new(SimConfig::default(), design);
-    a.step_slice(&rs);
-    a.drain();
-
-    let mut b = Simulation::new(SimConfig::default(), design);
-    let batch = RecordBatch::from_records(&rs);
-    b.step_batch(&batch);
-    b.drain();
-
-    assert_eq!(report_after(&a), report_after(&b));
 }
 
 proptest! {

@@ -1,7 +1,7 @@
 //! Acceptance tests for the scenario-mix subsystem: a heterogeneous
 //! Data Serving + MapReduce scenario runs deterministically through
 //! the mix grid with 1-vs-N-thread bit-equality, per-core IPC/MPKI in
-//! the emitted JSON/CSV, and weighted speedup computed against
+//! the emitted JSON, and weighted speedup computed against
 //! solo-run baselines.
 
 use fc_sweep::{
@@ -105,7 +105,7 @@ fn emitters_carry_per_core_ipc_and_mpki() {
     );
     let results = run_mix(&grid, &SweepEngine::new().quiet());
 
-    let json = emit::to_mix_json(&results);
+    let json = emit::to_json(&results);
     assert_eq!(json.matches("\"core\":").count(), 16);
     assert_eq!(json.matches("\"ipc\":").count(), 16);
     assert_eq!(json.matches("\"mpki\":").count(), 16);
@@ -114,22 +114,22 @@ fn emitters_carry_per_core_ipc_and_mpki() {
         8
     );
     assert_eq!(json.matches("\"core_workload\": \"MapReduce\"").count(), 8);
+    assert_eq!(json.matches("\"solo_ipc\":").count(), 16);
+    assert_eq!(json.matches("\"speedup\":").count(), 16);
     assert!(json.contains("\"weighted_speedup\""));
     assert!(json.contains("\"fairness\""));
 
-    let csv = emit::to_mix_csv(&results);
+    // The CSV is the records' scalar projection: one row per point,
+    // per-core figures JSON-only.
+    let csv = emit::to_csv(&results);
     let lines: Vec<_> = csv.lines().collect();
-    assert_eq!(lines.len(), 1 + 16, "header + one row per core");
-    let header = lines[0];
-    for column in [
-        "core",
-        "core_workload",
-        "ipc",
-        "mpki",
-        "solo_ipc",
-        "speedup",
-    ] {
-        assert!(header.contains(column), "missing column {column}");
+    assert_eq!(lines.len(), 1 + results.len(), "header + one row per point");
+    let header: Vec<_> = lines[0].split(',').collect();
+    for column in ["scenario", "design", "weighted_speedup", "fairness"] {
+        assert!(header.contains(&column), "missing column {column}");
+    }
+    for column in ["core", "core_workload", "solo_ipc", "speedup"] {
+        assert!(!header.contains(&column), "per-core column {column} in CSV");
     }
 
     // The regular sweep JSON also grew per-core counters.
