@@ -32,17 +32,6 @@ fn bench_simulation(c: &mut Criterion) {
                 });
             },
         );
-        group.bench_with_input(
-            BenchmarkId::new("replay_batched", design.label()),
-            &design,
-            |b, &design| {
-                let mut sim = Simulation::new(SimConfig::default(), design);
-                let records: Vec<_> = TraceGenerator::new(WorkloadKind::WebSearch, 16, 42)
-                    .take(BATCH as usize)
-                    .collect();
-                b.iter(|| sim.step_slice(&records));
-            },
-        );
     }
     group.finish();
 }

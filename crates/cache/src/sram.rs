@@ -1,6 +1,7 @@
 //! The pod's SRAM cache: a block-granularity, writeback, write-allocate
 //! set-associative cache used as the shared L2 (Table 3: 4 MB, 16-way,
-//! 64 B blocks, 13-cycle hit latency).
+//! 64 B blocks). Its 13-cycle hit latency is the pod's timing
+//! (`SimConfig::l2_latency` in fc-sim), not the array's.
 
 use serde::{Deserialize, Serialize};
 
@@ -47,28 +48,25 @@ pub struct SramStats {
 /// use fc_cache::{SramCache, SramOutcome};
 /// use fc_types::BlockAddr;
 ///
-/// let mut l2 = SramCache::new(4 << 20, 16, 13);
+/// let mut l2 = SramCache::new(4 << 20, 16);
 /// let b = BlockAddr::new(100);
 /// assert!(!l2.access(b, false).is_hit()); // cold miss allocates
 /// assert!(l2.access(b, true).is_hit());   // store hit dirties the line
-/// assert_eq!(l2.hit_latency(), 13);
 /// ```
 #[derive(Clone, Debug)]
 pub struct SramCache {
     lines: SetAssoc<bool>, // value = dirty
-    hit_latency: u32,
     stats: SramStats,
 }
 
 impl SramCache {
-    /// Creates a cache of `capacity_bytes` with the given associativity
-    /// and hit latency in core cycles.
+    /// Creates a cache of `capacity_bytes` with the given associativity.
     ///
     /// # Panics
     ///
     /// Panics if the capacity is not a positive multiple of
     /// `ways * BLOCK_SIZE`.
-    pub fn new(capacity_bytes: usize, ways: usize, hit_latency: u32) -> Self {
+    pub fn new(capacity_bytes: usize, ways: usize) -> Self {
         let blocks = capacity_bytes / BLOCK_SIZE;
         assert!(
             blocks > 0 && blocks.is_multiple_of(ways),
@@ -76,14 +74,8 @@ impl SramCache {
         );
         Self {
             lines: SetAssoc::new(blocks / ways, ways),
-            hit_latency,
             stats: SramStats::default(),
         }
-    }
-
-    /// Hit latency in core cycles.
-    pub fn hit_latency(&self) -> u32 {
-        self.hit_latency
     }
 
     /// Accesses `block`; `is_write` dirties the line. Misses allocate
@@ -130,7 +122,7 @@ mod tests {
 
     fn tiny() -> SramCache {
         // 2 sets x 2 ways.
-        SramCache::new(4 * BLOCK_SIZE, 2, 13)
+        SramCache::new(4 * BLOCK_SIZE, 2)
     }
 
     #[test]
@@ -193,6 +185,6 @@ mod tests {
     #[test]
     #[should_panic(expected = "multiple")]
     fn bad_geometry_rejected() {
-        SramCache::new(3 * BLOCK_SIZE, 2, 1);
+        SramCache::new(3 * BLOCK_SIZE, 2);
     }
 }

@@ -1,12 +1,23 @@
 //! The multicore trace-replay engine.
+//!
+//! Each record first gets its shared-L2 outcome, then runs one post-L2
+//! body: L2 misses reserve an MSHR and become demand accesses to the
+//! memory system, dirty L2 victims become writebacks. The outcome comes
+//! from a live L2 array ([`Simulation::new`]) or, for a pod replaying
+//! a trace whose L2 outcomes were precomputed once for every design
+//! ([`Simulation::filtered`]), from an [`L2Outcomes`] stream. Nothing
+//! below the L2 writes into it, so both sources yield the same
+//! outcomes and the same reports.
 
 use std::collections::VecDeque;
+use std::sync::Arc;
 
 use fc_cache::{SramCache, SramOutcome};
 use fc_trace::{ScenarioGenerator, ScenarioSpec, TraceGenerator, TraceRecord, WorkloadKind};
 
 use crate::config::SimConfig;
 use crate::design::DesignSpec;
+use crate::l2filter::{L2Outcomes, L2Source};
 use crate::memsys::MemorySystem;
 use crate::report::{CorePerf, ReportSnapshot, SimReport};
 
@@ -125,19 +136,46 @@ pub struct Simulation {
     config: SimConfig,
     design: DesignSpec,
     cores: Vec<CoreState>,
-    l2: SramCache,
+    l2: L2Source,
     memsys: MemorySystem,
 }
 
 impl Simulation {
     /// Builds the pod for `design`.
     pub fn new(config: SimConfig, design: DesignSpec) -> Self {
+        let l2 = SramCache::new(config.l2_bytes, config.l2_ways);
+        Self::with_l2(config, design, L2Source::Live(l2))
+    }
+
+    /// Builds the pod for `design` over precomputed L2 `outcomes`
+    /// instead of an L2 array of its own. The pod must replay the very
+    /// records `outcomes` was [filtered](L2Outcomes::filter) from, in
+    /// order from the first; stepping past the filtered prefix panics.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `outcomes` was filtered for another L2 geometry.
+    pub fn filtered(config: SimConfig, design: DesignSpec, outcomes: Arc<L2Outcomes>) -> Self {
+        assert_eq!(
+            outcomes.geometry(),
+            (config.l2_bytes, config.l2_ways),
+            "L2 outcomes filtered for another geometry"
+        );
+        let l2 = L2Source::Filtered {
+            outcomes,
+            next: 0,
+            victim: 0,
+        };
+        Self::with_l2(config, design, l2)
+    }
+
+    fn with_l2(config: SimConfig, design: DesignSpec, l2: L2Source) -> Self {
         let memsys = design.build().with_window(config.memsys_window);
         Self {
             config,
             design,
             cores: vec![CoreState::default(); config.cores as usize],
-            l2: SramCache::new(config.l2_bytes, config.l2_ways, config.l2_latency),
+            l2,
             memsys,
         }
     }
@@ -161,14 +199,13 @@ impl Simulation {
         core.l2_accesses += 1;
 
         // The trace is post-L1: probe the shared L2.
-        let block = r.addr.block();
-        let outcome = self.l2.access(block, r.kind.is_write());
-        match outcome {
+        let l2_latency = self.config.l2_latency as u64;
+        match self.l2.access(r) {
             SramOutcome::Hit => {
                 // Loads and stores both occupy the L2 port for a hit:
                 // the write buffer hides *miss* latency, not hit port
                 // occupancy.
-                core.time += self.l2.hit_latency() as u64;
+                core.time += l2_latency;
             }
             SramOutcome::Miss { writeback } => {
                 core.l2_misses += 1;
@@ -179,7 +216,7 @@ impl Simulation {
                 // misses and respect the MSHR bound (reads and
                 // fetch-for-writes share the MSHRs).
                 core.reserve_mshr(self.config.rob_window, self.config.mshrs);
-                let issue = core.time + self.l2.hit_latency() as u64;
+                let issue = core.time + l2_latency;
                 let done = self.memsys.demand_access(r.access(), issue);
                 core.time = issue;
                 core.outstanding.push_back(OutstandingMiss {
@@ -216,8 +253,7 @@ impl Simulation {
         core.time += r.inst_gap as u64;
         core.l2_accesses += 1;
 
-        let block = r.addr.block();
-        match self.l2.access(block, r.kind.is_write()) {
+        match self.l2.access(r) {
             SramOutcome::Hit => {}
             SramOutcome::Miss { writeback } => {
                 core.l2_misses += 1;
@@ -615,6 +651,46 @@ mod tests {
                 design.label()
             );
         }
+    }
+
+    #[test]
+    fn filtered_pod_matches_live_pod() {
+        // Precomputed L2 outcomes drive the same post-L2 body: detailed
+        // and functional replay over them reproduce a live L2 exactly,
+        // dirty victims included.
+        use fc_trace::{TraceGenerator, WorkloadKind};
+        let config = SimConfig::small();
+        let records: Vec<_> = TraceGenerator::new(WorkloadKind::DataServing, 4, 5)
+            .take(30_000)
+            .collect();
+        let outcomes = Arc::new(L2Outcomes::filter(&config, &records));
+        for design in [DesignSpec::footprint(64), DesignSpec::page(64)] {
+            let mut live = Simulation::new(config, design);
+            let mut filtered = Simulation::filtered(config, design, Arc::clone(&outcomes));
+            let (functional, detailed) = records.split_at(10_000);
+            for r in functional {
+                live.step_functional(r);
+                filtered.step_functional(r);
+            }
+            let since = live.snapshot();
+            live.step_slice(detailed);
+            filtered.step_slice(detailed);
+            live.drain();
+            filtered.drain();
+            assert_eq!(
+                SimReport::since(&live, &since),
+                SimReport::since(&filtered, &since),
+                "{}",
+                design.label()
+            );
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "another geometry")]
+    fn filtered_pod_rejects_another_geometry() {
+        let outcomes = Arc::new(L2Outcomes::filter(&SimConfig::small(), &[]));
+        Simulation::filtered(SimConfig::default(), DesignSpec::baseline(), outcomes);
     }
 
     #[test]

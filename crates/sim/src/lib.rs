@@ -43,6 +43,7 @@ pub mod analysis;
 mod config;
 mod design;
 mod engine;
+mod l2filter;
 pub mod loaded;
 mod memsys;
 mod model;
@@ -57,6 +58,7 @@ pub use fc_types::json;
 pub use config::SimConfig;
 pub use design::{CacheSpec, DesignSpec, DramPreset, DramSpec};
 pub use engine::{Checkpoint, Simulation};
+pub use l2filter::L2Outcomes;
 pub use memsys::{MemorySystem, MemsysTimeline};
 pub use model::DesignModel;
 pub use registry::{design_family, resolve_designs, DesignFamily, DESIGN_FAMILIES};

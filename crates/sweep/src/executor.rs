@@ -201,21 +201,24 @@ impl SweepEngine {
         (report, sim_secs, memoized)
     }
 
-    /// Simulates one point from scratch. Replays the shared cached
-    /// trace when the run fits the trace-cache budget; otherwise
-    /// streams records from a fresh generator. Both paths replay the
-    /// identical record sequence.
+    /// Simulates one point from scratch. When the run fits the
+    /// trace-cache budget, it replays the shared cached trace over the
+    /// trace's shared L2 outcomes ([`TraceCache::filtered`]); otherwise
+    /// it streams records from a fresh generator through a live L2.
+    /// Both paths replay the identical record sequence and yield the
+    /// identical report.
     fn simulate(&self, point: &SweepPoint) -> SimReport {
         let warmup = point.warmup();
         let measured = point.measured();
-        let mut sim = Simulation::new(point.config, point.design);
-        let report = match self.traces.records(
+        let mut sim;
+        let report = match self.traces.filtered(
             point.workload,
-            point.config.cores,
+            &point.config,
             point.seed(),
             warmup + measured,
         ) {
-            Some(records) => {
+            Some((records, outcomes)) => {
+                sim = Simulation::filtered(point.config, point.design, outcomes);
                 let (warm, meas) =
                     records[..(warmup + measured) as usize].split_at(warmup as usize);
                 {
@@ -226,7 +229,10 @@ impl SweepEngine {
                 let snapshot = sim.snapshot();
                 sim.run_records(meas.iter().cloned(), &snapshot)
             }
-            None => sim.run_workload(point.workload, point.seed(), warmup, measured),
+            None => {
+                sim = Simulation::new(point.config, point.design);
+                sim.run_workload(point.workload, point.seed(), warmup, measured)
+            }
         };
         metrics::counter("sweep.simulations").inc();
         if fc_obs::series::enabled() {
@@ -278,16 +284,54 @@ mod tests {
 
     #[test]
     fn cached_trace_path_equals_streaming_path() {
-        let spec =
-            SweepSpec::new(RunScale::tiny()).point(WorkloadKind::MapReduce, DesignSpec::page(64));
+        // Every registry family at two capacities on one engine: the
+        // larger capacity extends the cached prefix and refilters it.
+        // A second L2 geometry then shares the same cache entry.
+        use fc_sim::{SimConfig, DESIGN_FAMILIES};
+        let workload = WorkloadKind::WebSearch;
+        let designs: Vec<DesignSpec> = [8, 64]
+            .into_iter()
+            .flat_map(|mb| {
+                DESIGN_FAMILIES
+                    .iter()
+                    .filter(move |f| f.scales_with_capacity || mb == 64)
+                    .map(move |f| f.build(mb))
+            })
+            .collect();
+        let other_l2 = SimConfig {
+            l2_bytes: 2 << 20,
+            l2_ways: 8,
+            ..SimConfig::default()
+        };
+        let specs = [
+            SweepSpec::new(RunScale::quick()).grid(&[workload], &designs),
+            SweepSpec::new(RunScale::quick())
+                .with_config(other_l2)
+                .grid(
+                    &[workload],
+                    &designs[designs.len() - DESIGN_FAMILIES.len()..],
+                ),
+        ];
         // Budget of zero forces the streaming fallback.
-        let streamed = SweepEngine::new()
-            .with_threads(1)
+        let streaming = SweepEngine::new()
+            .with_threads(2)
             .with_trace_budget(0)
-            .quiet()
-            .run_spec(&spec);
-        let cached = SweepEngine::new().with_threads(1).quiet().run_spec(&spec);
-        assert_eq!(*streamed[0].report, *cached[0].report);
+            .quiet();
+        let cached = SweepEngine::new().with_threads(2).quiet();
+        for spec in &specs {
+            for (a, b) in streaming.run_spec(spec).iter().zip(cached.run_spec(spec)) {
+                assert_eq!(a.point, b.point);
+                assert_eq!(*a.report, *b.report, "{} diverged", a.point.label());
+            }
+        }
+        let len = |mb| RunScale::quick().warmup(mb) + RunScale::quick().measured(mb);
+        assert_eq!(cached.trace_cache().records_synthesized(), len(64));
+        // One filter per (length, geometry), not one L2 per point.
+        assert_eq!(
+            cached.trace_cache().records_filtered(),
+            len(8) + 2 * len(64)
+        );
+        assert_eq!(streaming.trace_cache().records_filtered(), 0);
     }
 
     #[test]

@@ -13,16 +13,28 @@
 //! (time, core) ([`TraceGenerator::fill`]), which yields the very
 //! records a sequential fill would, at any worker count.
 //!
+//! Detailed replay also shares the shared-L2 pass. Nothing below the L2
+//! writes into it, so each record's L2 outcome is a pure function of
+//! the record prefix and the L2 geometry. [`TraceCache::filtered`]
+//! attaches [`L2Outcomes`] to an entry on the first detailed request,
+//! keyed by `(l2_bytes, l2_ways)`; every later design on that trace
+//! replays them instead of its own L2. A longer prefix or another
+//! geometry refilters from record 0, so entries never keep an L2
+//! array. [`TraceCache::records`] does no filtering.
+//!
 //! Memory is bounded twice: a per-entry budget (requests beyond it
-//! stream instead of caching) and an aggregate budget across entries
-//! (least-recently-used streams are evicted once the sweep moves on to
-//! other workloads; in-flight readers keep their `Arc` until they
-//! finish, so eviction never invalidates a running simulation).
+//! stream instead of caching) and an aggregate budget across entries,
+//! counted in bytes of records plus outcomes (least-recently-used
+//! streams are evicted once the sweep moves on to other workloads;
+//! in-flight readers keep their `Arc` until they finish, so eviction
+//! never invalidates a running simulation).
 
 use std::collections::HashMap;
+use std::mem::size_of;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 
+use fc_sim::{L2Outcomes, SimConfig};
 use fc_trace::synth::Workers;
 use fc_trace::{TraceGenerator, TraceRecord, WorkloadKind};
 
@@ -35,6 +47,23 @@ type EntryKey = (WorkloadKind, u8, u64);
 struct CachedTrace {
     generator: TraceGenerator,
     records: Arc<Vec<TraceRecord>>,
+    /// At most one outcome stream per L2 geometry.
+    outcomes: Vec<Arc<L2Outcomes>>,
+}
+
+impl CachedTrace {
+    /// Host bytes the entry holds: its records plus its outcomes.
+    fn bytes(&self) -> usize {
+        self.records.len() * size_of::<TraceRecord>()
+            + self.outcomes.iter().map(|o| o.heap_bytes()).sum::<usize>()
+    }
+}
+
+/// An entry's size as eviction sees it.
+#[derive(Clone, Copy, Default)]
+struct EntrySize {
+    records: usize,
+    bytes: usize,
 }
 
 /// Map-level bookkeeping, all guarded by one lock: the entries plus the
@@ -43,7 +72,7 @@ struct CachedTrace {
 #[derive(Default)]
 struct Index {
     entries: HashMap<EntryKey, Arc<Mutex<CachedTrace>>>,
-    sizes: HashMap<EntryKey, usize>,
+    sizes: HashMap<EntryKey, EntrySize>,
     last_use: HashMap<EntryKey, u64>,
     clock: u64,
 }
@@ -65,9 +94,10 @@ impl Workers for SynthWorkers {
 /// A concurrent per-(workload, cores, seed) trace prefix cache.
 pub struct TraceCache {
     budget_records: usize,
-    aggregate_budget_records: usize,
+    aggregate_budget_bytes: usize,
     index: Mutex<Index>,
     synthesized: AtomicU64,
+    filtered: AtomicU64,
     shared: AtomicU64,
     workers: AtomicUsize,
 }
@@ -90,17 +120,21 @@ impl TraceCache {
     }
 
     /// A cache with explicit per-entry and aggregate record budgets.
-    /// Fills use every available core; a [`SweepEngine`]'s cache uses
-    /// the engine's thread count instead.
+    /// The aggregate holds the bytes of that many records, outcomes
+    /// included. Fills use every available core; a [`SweepEngine`]'s
+    /// cache uses the engine's thread count instead.
     ///
     /// [`SweepEngine`]: crate::SweepEngine
     pub fn with_aggregate_budget(budget_records: usize, aggregate_budget_records: usize) -> Self {
         let workers = std::thread::available_parallelism().map_or(1, |n| n.get());
         Self {
             budget_records,
-            aggregate_budget_records: aggregate_budget_records.max(budget_records),
+            aggregate_budget_bytes: aggregate_budget_records
+                .max(budget_records)
+                .saturating_mul(size_of::<TraceRecord>()),
             index: Mutex::new(Index::default()),
             synthesized: AtomicU64::new(0),
+            filtered: AtomicU64::new(0),
             shared: AtomicU64::new(0),
             workers: AtomicUsize::new(workers),
         }
@@ -126,11 +160,61 @@ impl TraceCache {
         seed: u64,
         len: u64,
     ) -> Option<Arc<Vec<TraceRecord>>> {
+        self.with_entry((workload, cores, seed), len, |cached, _| {
+            Arc::clone(&cached.records)
+        })
+    }
+
+    /// The shared record prefix of length `len` for a workload stream
+    /// on `config`'s pod, plus the L2 outcomes of at least its first
+    /// `len` records under `config`'s L2 geometry (for
+    /// [`Simulation::filtered`](fc_sim::Simulation::filtered)), or
+    /// `None` when `len` exceeds the cache budget. The first request
+    /// per geometry, and any longer one, filters from record 0.
+    pub fn filtered(
+        &self,
+        workload: WorkloadKind,
+        config: &SimConfig,
+        seed: u64,
+        len: u64,
+    ) -> Option<(Arc<Vec<TraceRecord>>, Arc<L2Outcomes>)> {
+        self.with_entry((workload, config.cores, seed), len, |cached, len| {
+            let geometry = (config.l2_bytes, config.l2_ways);
+            let reusable = cached
+                .outcomes
+                .iter()
+                .find(|o| o.geometry() == geometry && o.len() >= len);
+            let outcomes = match reusable {
+                Some(outcomes) => Arc::clone(outcomes),
+                None => {
+                    let _span = fc_obs::trace::span_with("l2-filter", "sweep", || {
+                        format!("{workload:?} {len} records")
+                    });
+                    let outcomes = Arc::new(L2Outcomes::filter(config, &cached.records[..len]));
+                    fc_obs::metrics::counter("sweep.l2_filter.records").add(len as u64);
+                    self.filtered.fetch_add(len as u64, Ordering::Relaxed);
+                    cached.outcomes.retain(|o| o.geometry() != geometry);
+                    cached.outcomes.push(Arc::clone(&outcomes));
+                    outcomes
+                }
+            };
+            (Arc::clone(&cached.records), outcomes)
+        })
+    }
+
+    /// Runs `then` on `key`'s entry, extended to at least `len`
+    /// records, under the entry's lock, then re-sizes the entry for
+    /// eviction. `None` when `len` exceeds the per-entry budget.
+    fn with_entry<T>(
+        &self,
+        key: EntryKey,
+        len: u64,
+        then: impl FnOnce(&mut CachedTrace, usize) -> T,
+    ) -> Option<T> {
         let len = usize::try_from(len).ok()?;
         if len > self.budget_records {
             return None;
         }
-        let key: EntryKey = (workload, cores, seed);
         let entry = {
             let mut index = self.index.lock().expect("trace cache index");
             index.clock += 1;
@@ -138,44 +222,52 @@ impl TraceCache {
             index.last_use.insert(key, stamp);
             Arc::clone(index.entries.entry(key).or_insert_with(|| {
                 Arc::new(Mutex::new(CachedTrace {
-                    generator: TraceGenerator::new(workload, cores, seed),
+                    generator: TraceGenerator::new(key.0, key.1, key.2),
                     records: Arc::new(Vec::new()),
+                    outcomes: Vec::new(),
                 }))
             }))
         };
         let mut cached = entry.lock().expect("trace cache entry");
+        let before = cached.bytes();
         if cached.records.len() < len {
             let missing = len - cached.records.len();
             let _span = fc_obs::trace::span_with("synthesis", "sweep", || {
-                format!("{workload:?} +{missing} records")
+                format!("{:?} +{missing} records", key.0)
             });
-            let CachedTrace { generator, records } = &mut *cached;
+            let CachedTrace {
+                generator, records, ..
+            } = &mut *cached;
             // Readers holding earlier Arcs keep their (shorter) prefix;
             // `make_mut` clones only while such readers exist.
             let records = Arc::make_mut(records);
             generator.fill(records, missing, &SynthWorkers(self.workers()));
             self.synthesized
                 .fetch_add(missing as u64, Ordering::Relaxed);
-            let new_len = records.len();
-            let shared = Arc::clone(&cached.records);
-            drop(cached);
-            self.note_size_and_evict(key, new_len);
-            Some(shared)
         } else {
             self.shared.fetch_add(1, Ordering::Relaxed);
-            Some(Arc::clone(&cached.records))
         }
+        let out = then(&mut cached, len);
+        let size = EntrySize {
+            records: cached.records.len(),
+            bytes: cached.bytes(),
+        };
+        drop(cached);
+        if size.bytes != before {
+            self.note_size_and_evict(key, size);
+        }
+        Some(out)
     }
 
     /// Records `key`'s new size and evicts least-recently-used *other*
     /// entries while the aggregate exceeds the budget. Only the index
     /// lock is taken, so this cannot deadlock against entry locks; a
     /// removed entry's storage is freed when its last reader drops.
-    fn note_size_and_evict(&self, key: EntryKey, new_len: usize) {
+    fn note_size_and_evict(&self, key: EntryKey, size: EntrySize) {
         let mut index = self.index.lock().expect("trace cache index");
-        index.sizes.insert(key, new_len);
-        let mut total: usize = index.sizes.values().sum();
-        while total > self.aggregate_budget_records {
+        index.sizes.insert(key, size);
+        let mut total: usize = index.sizes.values().map(|s| s.bytes).sum();
+        while total > self.aggregate_budget_bytes {
             let victim = index
                 .entries
                 .keys()
@@ -187,7 +279,7 @@ impl TraceCache {
             };
             index.entries.remove(&victim);
             index.last_use.remove(&victim);
-            total -= index.sizes.remove(&victim).unwrap_or(0);
+            total -= index.sizes.remove(&victim).unwrap_or_default().bytes;
         }
     }
 
@@ -197,6 +289,13 @@ impl TraceCache {
         self.synthesized.load(Ordering::Relaxed)
     }
 
+    /// Total records run through an L2 filter so far (a refilter
+    /// counts its whole prefix again).
+    #[cfg(test)]
+    pub(crate) fn records_filtered(&self) -> u64 {
+        self.filtered.load(Ordering::Relaxed)
+    }
+
     /// Requests fully served from already-synthesized records.
     pub fn shared_hits(&self) -> u64 {
         self.shared.load(Ordering::Relaxed)
@@ -204,12 +303,17 @@ impl TraceCache {
 
     /// Records currently resident across all entries.
     pub fn resident_records(&self) -> usize {
-        self.index
-            .lock()
-            .expect("trace cache index")
-            .sizes
-            .values()
-            .sum()
+        let index = self.index.lock().expect("trace cache index");
+        index.sizes.values().map(|s| s.records).sum()
+    }
+
+    /// Host bytes currently resident across all entries: records plus
+    /// L2 outcomes. Eviction keeps this within the aggregate budget
+    /// whenever more than one entry is resident.
+    #[cfg(test)]
+    fn resident_bytes(&self) -> usize {
+        let index = self.index.lock().expect("trace cache index");
+        index.sizes.values().map(|s| s.bytes).sum()
     }
 }
 
@@ -313,6 +417,67 @@ mod tests {
             .take(50)
             .collect();
         assert_eq!(&again[..], &fresh[..]);
+    }
+
+    #[test]
+    fn outcomes_are_keyed_by_geometry_and_refiltered_when_longer() {
+        let cache = TraceCache::new(10_000);
+        let small = SimConfig::small();
+        let (_, first) = cache
+            .filtered(WorkloadKind::WebSearch, &small, 1, 500)
+            .unwrap();
+        let (_, shorter) = cache
+            .filtered(WorkloadKind::WebSearch, &small, 1, 300)
+            .unwrap();
+        assert!(Arc::ptr_eq(&first, &shorter), "a shorter prefix reuses");
+        let (records, longer) = cache
+            .filtered(WorkloadKind::WebSearch, &small, 1, 800)
+            .unwrap();
+        assert_eq!(*longer, L2Outcomes::filter(&small, &records[..800]));
+        let other = SimConfig {
+            l2_ways: 8,
+            ..small
+        };
+        let (_, other_outcomes) = cache
+            .filtered(WorkloadKind::WebSearch, &other, 1, 800)
+            .unwrap();
+        assert_eq!(other_outcomes.geometry(), (small.l2_bytes, 8));
+        let (_, again) = cache
+            .filtered(WorkloadKind::WebSearch, &small, 1, 800)
+            .unwrap();
+        assert!(
+            Arc::ptr_eq(&longer, &again),
+            "another geometry kept this one"
+        );
+        assert_eq!(cache.records_filtered(), 500 + 800 + 800);
+        assert_eq!(cache.records_synthesized(), 800);
+        // Plain record requests never filter.
+        cache.records(WorkloadKind::WebSearch, 4, 1, 900).unwrap();
+        assert_eq!(cache.records_filtered(), 2_100);
+    }
+
+    #[test]
+    fn distinct_seed_fills_stay_within_the_aggregate_budget() {
+        // A serve loop caches every fresh seed it sees. Outcome bytes
+        // count against the aggregate, and no L2 array stays behind.
+        let tiny =
+            (crate::RunScale::tiny().warmup(64) + crate::RunScale::tiny().measured(64)) as usize;
+        let cache = TraceCache::with_aggregate_budget(tiny, 10 * tiny);
+        let budget = 10 * tiny * size_of::<TraceRecord>();
+        let config = SimConfig::default();
+        for seed in 0..1_000 {
+            cache
+                .filtered(WorkloadKind::WebSearch, &config, seed, tiny as u64)
+                .unwrap();
+            assert!(
+                cache.resident_bytes() <= budget,
+                "{} resident bytes after {} fills, budget {budget}",
+                cache.resident_bytes(),
+                seed + 1
+            );
+        }
+        assert!(cache.resident_bytes() > cache.resident_records() * size_of::<TraceRecord>());
+        assert_eq!(cache.records_filtered(), 1_000 * tiny as u64);
     }
 
     #[test]

@@ -84,6 +84,7 @@ struct Event {
     tid: u64,
     ts: u64,
     dur: u64,
+    label: Option<String>,
 }
 
 fn parse_events(chrome_json: &str) -> Vec<Event> {
@@ -99,6 +100,10 @@ fn parse_events(chrome_json: &str) -> Vec<Event> {
             tid: e.field("tid").unwrap().as_u64().unwrap(),
             ts: e.get("ts").map(|v| v.as_u64().unwrap()).unwrap_or(0),
             dur: e.get("dur").map(|v| v.as_u64().unwrap()).unwrap_or(0),
+            label: e
+                .get("args")
+                .and_then(|a| a.get("label"))
+                .map(|v| v.as_str().unwrap().to_string()),
         })
         .collect()
 }
@@ -165,6 +170,23 @@ fn chrome_trace_is_valid_and_structured() {
         "lane-name metadata missing"
     );
 
+    // The single-capacity grid filters the shared L2 once per workload
+    // trace, whatever the number of designs replaying it.
+    let mut filtered: Vec<&str> = events
+        .iter()
+        .filter(|e| e.ph == "X" && e.name == "l2-filter")
+        .map(|e| e.label.as_deref().expect("l2-filter span is labelled"))
+        .collect();
+    filtered.sort_unstable();
+    let records = spec.points()[0].warmup() + spec.points()[0].measured();
+    assert_eq!(
+        filtered,
+        [
+            format!("DataServing {records} records"),
+            format!("WebSearch {records} records")
+        ]
+    );
+
     // Per lane: point spans are disjoint (each worker runs points
     // sequentially), and every memo-lookup nests inside a point span.
     for &lane in &lanes {
@@ -192,6 +214,16 @@ fn chrome_trace_is_valid_and_structured() {
             );
         }
     }
+
+    // Sampled replay keeps its live L2: a sampled grid filters nothing.
+    let _ = trace::take_events();
+    trace::enable();
+    let grid = SampledGrid::with_plan(&spec, SamplePlan::exhaustive(500, 100, 100));
+    run_sampled_grid(&grid, &SweepEngine::new().with_threads(2).quiet());
+    trace::disable();
+    let events = parse_events(&trace::chrome_trace_json());
+    assert!(events.iter().any(|e| e.name == "synthesis"));
+    assert!(!events.iter().any(|e| e.name == "l2-filter"));
 
     // The mix grid runs on the same pool: a 2-worker run records one
     // `detailed-sim` span per fresh point (solo baselines and mix
