@@ -1,11 +1,12 @@
 //! Full vs sampled end-to-end point cost at matched trace length.
 //!
 //! The benchmark replays one (workload, design) point twice over the
-//! same pre-synthesized record stream: once in full detailed mode and
-//! once through the `fc-sample` interval sampler with its auto plan.
-//! The ratio of the two throughputs is the sampled subsystem's
-//! end-to-end speedup at this trace length (it grows with trace
-//! length: the sampler's warm windows are a fixed cost).
+//! same pre-synthesized record stream: once as a full detailed point
+//! (`Simulation::run_trace`) and once through the `fc-sample` interval
+//! sampler with its auto plan. The ratio of the two throughputs is the
+//! sampled subsystem's end-to-end speedup at this trace length (it
+//! grows with trace length: the sampler's warm windows are a fixed
+//! cost).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 
@@ -30,14 +31,11 @@ fn bench_sampling(c: &mut Criterion) {
             &design,
             |b, &design| {
                 b.iter(|| {
-                    let mut sim = Simulation::new(SimConfig::default(), design);
-                    let (warm, meas) = records.split_at(WARMUP as usize);
-                    for r in warm {
-                        sim.step(r);
-                    }
-                    sim.drain();
-                    let snap = sim.snapshot();
-                    sim.run_records(meas.iter().cloned(), &snap)
+                    Simulation::new(SimConfig::default(), design).run_trace(
+                        records.iter().copied(),
+                        WARMUP,
+                        MEASURED,
+                    )
                 });
             },
         );

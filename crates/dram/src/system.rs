@@ -253,12 +253,19 @@ impl DramSystem {
 
     /// Dynamic energy consumed so far, split as in Figures 10/11.
     pub fn energy(&self) -> EnergyBreakdown {
-        let s = self.stats();
+        self.energy_of(&self.stats())
+    }
+
+    /// Dynamic energy of the operations counted in `stats`, such as one
+    /// measurement window's [delta](DramStats::delta_since). Computed
+    /// from the counts, so a window's energy does not depend on what
+    /// ran before it.
+    pub fn energy_of(&self, stats: &DramStats) -> EnergyBreakdown {
         EnergyBreakdown::from_counts(
             &self.config.energy,
-            s.activates,
-            s.read_blocks,
-            s.write_blocks,
+            stats.activates,
+            stats.read_blocks,
+            stats.write_blocks,
         )
     }
 

@@ -8,6 +8,16 @@
 //! ([`Simulation::filtered`]), from an [`L2Outcomes`] stream. Nothing
 //! below the L2 writes into it, so both sources yield the same
 //! outcomes and the same reports.
+//!
+//! Every driver warms a pod through [`Simulation::warm_up`]: all but the
+//! last [`DETAILED_TAIL`] warm-up records replay functionally, the tail
+//! replays detailed, and outstanding misses drain before measurement.
+//! Design state (L2 and DRAM-cache tags, predictors, replacement and
+//! promotion state) is a function of the record stream alone, so the
+//! functional prefix leaves it exactly as a detailed replay would. Only
+//! the timing plane (core clocks, MSHRs, DRAM bank, bus and queue
+//! reservations) differs, and it forgets its starting point within the
+//! tail: reports equal an all-detailed warm-up's, field for field.
 
 use std::collections::VecDeque;
 use std::sync::Arc;
@@ -20,6 +30,13 @@ use crate::design::DesignSpec;
 use crate::l2filter::{L2Outcomes, L2Source};
 use crate::memsys::MemorySystem;
 use crate::report::{CorePerf, ReportSnapshot, SimReport};
+
+/// Warm-up records replayed through the detailed engine at the end of
+/// every [`warm_up`](Simulation::warm_up); the records before them
+/// replay functionally. Long enough for the timing plane to converge
+/// from a quiesced start, so warm-ups no longer than this run all
+/// detailed and longer ones measure exactly as if they had.
+pub const DETAILED_TAIL: u64 = 65_536;
 
 /// One outstanding DRAM-level miss held in a core's MSHRs.
 #[derive(Clone, Copy, Debug)]
@@ -247,6 +264,7 @@ impl Simulation {
     /// time stays monotone across mode switches. Sampled simulation
     /// fast-forwards through functional regions and measures only
     /// detailed intervals (see the `fc-sample` crate).
+    #[inline]
     pub fn step_functional(&mut self, r: &TraceRecord) {
         let core = &mut self.cores[r.core as usize];
         core.insts += r.inst_gap as u64;
@@ -346,9 +364,46 @@ impl Simulation {
         SimReport::since(self, since)
     }
 
-    /// Convenience driver: synthesizes `workload` with `seed`, replays
-    /// `warmup` records to warm the hierarchy, then measures over
-    /// `measured` records.
+    /// Warms the pod on the next `warmup` records of `records`: all but
+    /// the last [`DETAILED_TAIL`] replay functionally, the tail replays
+    /// detailed, then outstanding misses drain. Measure from a
+    /// [`snapshot`](Simulation::snapshot) taken next; the report equals
+    /// the one an all-detailed warm-up (`step_slice`, then `drain`)
+    /// yields.
+    pub fn warm_up(&mut self, records: &mut impl Iterator<Item = TraceRecord>, warmup: u64) {
+        let functional = warmup.saturating_sub(DETAILED_TAIL);
+        if functional > 0 {
+            let _span = fc_obs::trace::span("functional-warmup", "sim");
+            for r in records.by_ref().take(functional as usize) {
+                self.step_functional(&r);
+            }
+            fc_obs::metrics::counter("sim.records.warmup.functional").add(functional);
+        }
+        let _span = fc_obs::trace::span("detailed-warmup", "sim");
+        for r in records.take((warmup - functional) as usize) {
+            self.step(&r);
+        }
+        self.drain();
+        fc_obs::metrics::counter("sim.records.warmup.detailed").add(warmup - functional);
+    }
+
+    /// Replays a trace: [warms](Simulation::warm_up) the pod on its
+    /// first `warmup` records, then measures over the next `measured`.
+    pub fn run_trace(
+        &mut self,
+        records: impl IntoIterator<Item = TraceRecord>,
+        warmup: u64,
+        measured: u64,
+    ) -> SimReport {
+        let mut records = records.into_iter();
+        self.warm_up(&mut records, warmup);
+        let snap = self.snapshot();
+        self.run_records(records.take(measured as usize), &snap)
+    }
+
+    /// Convenience driver: synthesizes `workload` with `seed`, then
+    /// [replays](Simulation::run_trace) `warmup` warm-up and `measured`
+    /// measured records.
     pub fn run_workload(
         &mut self,
         workload: WorkloadKind,
@@ -356,24 +411,13 @@ impl Simulation {
         warmup: u64,
         measured: u64,
     ) -> SimReport {
-        let mut generator = TraceGenerator::new(workload, self.config.cores, seed);
-        {
-            let _span = fc_obs::trace::span("detailed-warmup", "sim");
-            for _ in 0..warmup {
-                let r = generator.next().expect("generator is infinite");
-                self.step(&r);
-            }
-            self.drain();
-            fc_obs::metrics::counter("sim.records.warmup").add(warmup);
-        }
-        let snap = self.snapshot();
-        let records = (&mut generator).take(measured as usize);
-        self.run_records(records, &snap)
+        let generator = TraceGenerator::new(workload, self.config.cores, seed);
+        self.run_trace(generator, warmup, measured)
     }
 
     /// Scenario-mix driver: interleaves each core's assigned workload
-    /// with `seed`, replays `warmup` records to warm the hierarchy,
-    /// then measures over `measured` records.
+    /// with `seed`, then [replays](Simulation::run_trace) `warmup`
+    /// warm-up and `measured` measured records.
     ///
     /// # Panics
     ///
@@ -393,19 +437,7 @@ impl Simulation {
             scenario.cores(),
             self.config.cores
         );
-        let mut generator = ScenarioGenerator::new(scenario, seed);
-        {
-            let _span = fc_obs::trace::span("detailed-warmup", "sim");
-            for _ in 0..warmup {
-                let r = generator.next().expect("generator is infinite");
-                self.step(&r);
-            }
-            self.drain();
-            fc_obs::metrics::counter("sim.records.warmup").add(warmup);
-        }
-        let snap = self.snapshot();
-        let records = (&mut generator).take(measured as usize);
-        self.run_records(records, &snap)
+        self.run_trace(ScenarioGenerator::new(scenario, seed), warmup, measured)
     }
 }
 

@@ -57,7 +57,7 @@ pub use fc_types::json;
 
 pub use config::SimConfig;
 pub use design::{CacheSpec, DesignSpec, DramPreset, DramSpec};
-pub use engine::{Checkpoint, Simulation};
+pub use engine::{Checkpoint, Simulation, DETAILED_TAIL};
 pub use l2filter::L2Outcomes;
 pub use memsys::{MemorySystem, MemsysTimeline};
 pub use model::DesignModel;

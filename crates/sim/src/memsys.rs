@@ -180,9 +180,10 @@ impl MemorySystem {
         self.offchip.stats()
     }
 
-    /// Off-chip DRAM dynamic energy.
-    pub fn offchip_energy(&self) -> EnergyBreakdown {
-        self.offchip.energy()
+    /// Off-chip DRAM dynamic energy of the operations counted in
+    /// `stats` (cumulative or one window's delta).
+    pub fn offchip_energy(&self, stats: &DramStats) -> EnergyBreakdown {
+        self.offchip.energy_of(stats)
     }
 
     /// Stacked DRAM counters (zeros for the baseline).
@@ -190,11 +191,12 @@ impl MemorySystem {
         self.stacked.as_ref().map(|s| s.stats()).unwrap_or_default()
     }
 
-    /// Stacked DRAM dynamic energy (zeros for the baseline).
-    pub fn stacked_energy(&self) -> EnergyBreakdown {
+    /// Stacked DRAM dynamic energy of the operations counted in `stats`
+    /// (zeros for the baseline).
+    pub fn stacked_energy(&self, stats: &DramStats) -> EnergyBreakdown {
         self.stacked
             .as_ref()
-            .map(|s| s.energy())
+            .map(|s| s.energy_of(stats))
             .unwrap_or_default()
     }
 

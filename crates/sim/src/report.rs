@@ -62,8 +62,6 @@ pub struct ReportSnapshot {
     cache: DramCacheStats,
     offchip: DramStats,
     stacked: DramStats,
-    offchip_energy: EnergyBreakdown,
-    stacked_energy: EnergyBreakdown,
     prediction: Option<PredictionCounters>,
 }
 
@@ -77,8 +75,6 @@ impl ReportSnapshot {
             cache: sim.memsys().cache().stats().clone(),
             offchip: sim.memsys().offchip_stats(),
             stacked: sim.memsys().stacked_stats(),
-            offchip_energy: sim.memsys().offchip_energy(),
-            stacked_energy: sim.memsys().stacked_energy(),
             prediction: sim.memsys().cache().prediction_counters(),
         }
     }
@@ -92,8 +88,6 @@ impl ReportSnapshot {
             cache: DramCacheStats::default(),
             offchip: DramStats::default(),
             stacked: DramStats::default(),
-            offchip_energy: EnergyBreakdown::default(),
-            stacked_energy: EnergyBreakdown::default(),
             prediction: None,
         }
     }
@@ -101,20 +95,7 @@ impl ReportSnapshot {
 
 /// Energy split of one DRAM over the measurement interval (Figures
 /// 10/11's two stacked components).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Serialize, Deserialize)]
-pub struct EnergyReport {
-    /// Activate/precharge energy in nanojoules.
-    pub act_pre_nj: f64,
-    /// Read/write burst energy in nanojoules.
-    pub burst_nj: f64,
-}
-
-impl EnergyReport {
-    /// Total dynamic energy.
-    pub fn total_nj(&self) -> f64 {
-        self.act_pre_nj + self.burst_nj
-    }
-}
+pub type EnergyReport = EnergyBreakdown;
 
 /// Everything one simulation run measures.
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
@@ -143,8 +124,13 @@ pub struct SimReport {
 
 impl SimReport {
     /// Builds the report for everything that happened since `since`.
+    /// Energies come from the window's operation counts, not from
+    /// differences of cumulative floats, so they do not depend on how
+    /// many operations preceded the window.
     pub fn since(sim: &Simulation, since: &ReportSnapshot) -> Self {
         let now = ReportSnapshot::capture(sim);
+        let offchip = diff_dram(&now.offchip, &since.offchip);
+        let stacked = diff_dram(&now.stacked, &since.stacked);
         Self {
             insts: now.insts - since.insts,
             cycles: now.cycles - since.cycles,
@@ -155,16 +141,10 @@ impl SimReport {
                 .map(|(i, c)| c.delta_since(since.per_core.get(i).unwrap_or(&CorePerf::default())))
                 .collect(),
             cache: diff_cache(&now.cache, &since.cache),
-            offchip: diff_dram(&now.offchip, &since.offchip),
-            stacked: diff_dram(&now.stacked, &since.stacked),
-            offchip_energy: EnergyReport {
-                act_pre_nj: now.offchip_energy.act_pre_nj - since.offchip_energy.act_pre_nj,
-                burst_nj: now.offchip_energy.burst_nj - since.offchip_energy.burst_nj,
-            },
-            stacked_energy: EnergyReport {
-                act_pre_nj: now.stacked_energy.act_pre_nj - since.stacked_energy.act_pre_nj,
-                burst_nj: now.stacked_energy.burst_nj - since.stacked_energy.burst_nj,
-            },
+            offchip_energy: sim.memsys().offchip_energy(&offchip),
+            stacked_energy: sim.memsys().stacked_energy(&stacked),
+            offchip,
+            stacked,
             prediction: match (now.prediction, since.prediction) {
                 (Some(n), Some(s)) => Some(PredictionCounters {
                     covered: n.covered - s.covered,

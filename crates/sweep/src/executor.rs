@@ -1,4 +1,10 @@
 //! The parallel sweep executor.
+//!
+//! Every fresh point warms up through [`Simulation::warm_up`]: the
+//! warm-up replays functionally up to its last
+//! [`DETAILED_TAIL`](fc_sim::DETAILED_TAIL) records, which replay
+//! detailed before the measured window. Reports equal an all-detailed
+//! warm-up's, so the point key does not encode the warm-up mode.
 
 use std::sync::Arc;
 
@@ -205,8 +211,8 @@ impl SweepEngine {
     /// trace-cache budget, it replays the shared cached trace over the
     /// trace's shared L2 outcomes ([`TraceCache::filtered`]); otherwise
     /// it streams records from a fresh generator through a live L2.
-    /// Both paths replay the identical record sequence and yield the
-    /// identical report.
+    /// Both paths replay the identical record sequence through
+    /// [`Simulation::run_trace`] and yield the identical report.
     fn simulate(&self, point: &SweepPoint) -> SimReport {
         let warmup = point.warmup();
         let measured = point.measured();
@@ -219,15 +225,7 @@ impl SweepEngine {
         ) {
             Some((records, outcomes)) => {
                 sim = Simulation::filtered(point.config, point.design, outcomes);
-                let (warm, meas) =
-                    records[..(warmup + measured) as usize].split_at(warmup as usize);
-                {
-                    let _span = trace::span("detailed-warmup", "sweep");
-                    sim.step_slice(warm);
-                    sim.drain();
-                }
-                let snapshot = sim.snapshot();
-                sim.run_records(meas.iter().cloned(), &snapshot)
+                sim.run_trace(records.iter().copied(), warmup, measured)
             }
             None => {
                 sim = Simulation::new(point.config, point.design);

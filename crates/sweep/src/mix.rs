@@ -278,16 +278,11 @@ pub fn run_mix(grid: &MixGrid, engine: &SweepEngine) -> Vec<MixResult> {
                         .collect(),
                 )
             });
-            let warmup = point.warmup() as usize;
-            let measured = point.measured() as usize;
-            let mut sim = Simulation::new(point.config, point.design);
-            let (warm, meas) = records[..warmup + measured].split_at(warmup);
-            for r in warm {
-                sim.step(r);
-            }
-            sim.drain();
-            let snapshot = sim.snapshot();
-            sim.run_records(meas.iter().cloned(), &snapshot)
+            Simulation::new(point.config, point.design).run_trace(
+                records.iter().copied(),
+                point.warmup(),
+                point.measured(),
+            )
         });
         (report, started.elapsed().as_secs_f64(), memoized)
     });

@@ -187,6 +187,17 @@ fn chrome_trace_is_valid_and_structured() {
         ]
     );
 
+    // Tiny warm-ups are no longer than the detailed tail: each fresh
+    // point warms up in one detailed span and none replays functionally.
+    assert!(!events.iter().any(|e| e.name == "functional-warmup"));
+    assert_eq!(
+        events
+            .iter()
+            .filter(|e| e.ph == "X" && e.name == "detailed-warmup")
+            .count(),
+        spec.len()
+    );
+
     // Per lane: point spans are disjoint (each worker runs points
     // sequentially), and every memo-lookup nests inside a point span.
     for &lane in &lanes {
@@ -301,6 +312,29 @@ fn chrome_trace_is_valid_and_structured() {
         lanes.values().any(|name| is_lane(name, "synth")),
         "no synth-N helper lane in {lanes:?}"
     );
+
+    // A quick warm-up outlasts the detailed tail: inside each point
+    // span, one functional-warmup span ends before its one
+    // detailed-warmup span starts.
+    let inside = |point: &Event, span: &str| -> Vec<(u64, u64)> {
+        events
+            .iter()
+            .filter(|e| e.ph == "X" && e.tid == point.tid && e.name == span)
+            .filter(|e| point.ts <= e.ts && e.ts + e.dur <= point.ts + point.dur)
+            .map(|e| (e.ts, e.dur))
+            .collect()
+    };
+    let points: Vec<&Event> = events
+        .iter()
+        .filter(|e| e.ph == "X" && e.name == "point")
+        .collect();
+    assert_eq!(points.len(), 2);
+    for point in points {
+        let functional = inside(point, "functional-warmup");
+        let detailed = inside(point, "detailed-warmup");
+        assert_eq!((functional.len(), detailed.len()), (1, 1));
+        assert!(functional[0].0 + functional[0].1 <= detailed[0].0);
+    }
 }
 
 /// Whether `name` is `{prefix}-N`.
@@ -336,6 +370,11 @@ fn metrics_cover_every_instrumented_layer() {
     let insts: u64 = results.iter().map(|r| r.report.insts).sum();
     assert_eq!(expect("sim.insts"), insts);
     assert_eq!(expect("sim.reports"), spec.len() as u64);
+    // Tiny warm-ups are no longer than the detailed tail.
+    let warmup: u64 = results.iter().map(|r| r.point.warmup()).sum();
+    assert_eq!(expect("sim.records.warmup.detailed"), warmup);
+    let functional = delta.counter("sim.records.warmup.functional");
+    assert_eq!(functional.unwrap_or(0), 0);
     assert_eq!(
         expect("cache.accesses"),
         expect("cache.hits") + expect("cache.misses")
