@@ -284,6 +284,60 @@ mod tests {
     }
 
     #[test]
+    fn forced_region_eviction_writes_back_dirty_blocks_in_footprint_order() {
+        // One 2-way MissMap set: the third region displaces the first.
+        let mut c = BlockBasedCache {
+            tags: SetAssoc::new(4096, WAYS),
+            missmap: MissMap::new(2, 2),
+            stats: DramCacheStats::default(),
+        };
+        // Region 0 holds blocks 0..6, all but block 3 dirty: five dirty
+        // blocks stage ten ops, past `OpList`'s inline capacity.
+        for b in 0..6u64 {
+            c.access(read(b * 64));
+        }
+        for b in [5u64, 0, 2, 4, 1] {
+            assert!(c.writeback(PhysAddr::new(b * 64)).hit);
+        }
+        c.access(read(4096)); // region 1
+        assert_eq!(c.stats().evictions, 0);
+
+        let plan = c.access(read(8192)); // region 2 displaces region 0
+        assert!(!plan.hit);
+        let read_row = |addr| MemOp::read(MemTarget::Stacked, PhysAddr::new(addr), 1);
+        let write_back = |addr| MemOp::write(MemTarget::OffChip, PhysAddr::new(addr), 1);
+        // The fill of block 128 (set 128), then per dirty block of region
+        // 0 in footprint order: read it out of its row, write it off-chip.
+        let expected = [
+            MemOp::compound(
+                MemTarget::Stacked,
+                PhysAddr::new(128 * ROW_BYTES),
+                fc_types::AccessKind::Write,
+            ),
+            read_row(0),
+            write_back(0),
+            read_row(ROW_BYTES),
+            write_back(64),
+            read_row(2 * ROW_BYTES),
+            write_back(128),
+            read_row(4 * ROW_BYTES),
+            write_back(256),
+            read_row(5 * ROW_BYTES),
+            write_back(320),
+        ];
+        assert_eq!(plan.background.as_slice(), &expected);
+        assert_eq!(
+            plan.critical.as_slice(),
+            &[MemOp::read(MemTarget::OffChip, PhysAddr::new(8192), 1)]
+        );
+        assert_eq!(c.stats().evictions, 6);
+        assert_eq!(c.stats().dirty_evictions, 5);
+        for b in 0..6u64 {
+            assert!(!c.access(read(b * 64)).hit, "block {b} was purged");
+        }
+    }
+
+    #[test]
     fn storage_reports_missmap() {
         let c = BlockBasedCache::new(256 << 20);
         let items = c.storage();

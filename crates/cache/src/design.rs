@@ -2,9 +2,9 @@
 
 use serde::{Deserialize, Serialize};
 
-use fc_types::{MemAccess, PhysAddr};
+use fc_types::{AccessKind, MemAccess, PhysAddr};
 
-use crate::plan::AccessPlan;
+use crate::plan::{AccessPlan, MemTarget};
 
 /// Latency in core cycles of an SRAM structure of the given size.
 ///
@@ -158,12 +158,19 @@ impl DramCacheStats {
         self.offchip_read_blocks + self.offchip_write_blocks
     }
 
-    /// Folds a produced plan's traffic into the counters.
+    /// Folds a produced plan's traffic into the counters, in one pass
+    /// over its ops.
     pub fn absorb_plan(&mut self, plan: &AccessPlan) {
-        self.offchip_read_blocks += plan.offchip_read_blocks();
-        self.offchip_write_blocks += plan.offchip_write_blocks();
-        self.stacked_read_blocks += plan.stacked_read_blocks();
-        self.stacked_write_blocks += plan.stacked_write_blocks();
+        for op in plan.critical.iter().chain(&plan.background) {
+            let blocks = op.blocks as u64;
+            let counter = match (op.target, op.kind) {
+                (MemTarget::OffChip, AccessKind::Read) => &mut self.offchip_read_blocks,
+                (MemTarget::OffChip, AccessKind::Write) => &mut self.offchip_write_blocks,
+                (MemTarget::Stacked, AccessKind::Read) => &mut self.stacked_read_blocks,
+                (MemTarget::Stacked, AccessKind::Write) => &mut self.stacked_write_blocks,
+            };
+            *counter += blocks;
+        }
     }
 }
 

@@ -128,45 +128,53 @@ impl<V> SetAssoc<V> {
     /// already present, its value is replaced and returned as
     /// `Some((tag, old))`. If the set is full, the LRU victim is evicted
     /// and returned. Returns `None` if an empty way absorbed the insert.
+    ///
+    /// One scan of the set decides all three cases: a present tag is
+    /// replaced in place; otherwise the *first* empty way takes the
+    /// entry; otherwise the way with the smallest LRU stamp is evicted
+    /// (stamps within a set are unique, so the choice is exact).
     pub fn insert(&mut self, set: usize, tag: u64, value: V) -> Option<(u64, V)> {
         self.stamp += 1;
         let stamp = self.stamp;
         let range = self.set_range(set);
+        let base = range.start;
 
-        // Tag already present: replace in place.
-        if let Some(e) = self.entries[range.clone()]
-            .iter_mut()
-            .flatten()
-            .find(|e| e.tag == tag)
-        {
-            e.lru = stamp;
-            let old = core::mem::replace(&mut e.value, value);
-            return Some((tag, old));
+        let mut empty = None;
+        let mut lru_way = 0;
+        let mut lru_stamp = u64::MAX;
+        for (way, slot) in self.entries[range].iter_mut().enumerate() {
+            match slot {
+                Some(e) if e.tag == tag => {
+                    e.lru = stamp;
+                    let old = core::mem::replace(&mut e.value, value);
+                    return Some((tag, old));
+                }
+                Some(e) if e.lru < lru_stamp => {
+                    lru_stamp = e.lru;
+                    lru_way = way;
+                }
+                None if empty.is_none() => empty = Some(way),
+                _ => {}
+            }
         }
 
-        // Empty way.
-        if let Some(slot) = self.entries[range.clone()].iter_mut().find(|e| e.is_none()) {
-            *slot = Some(Entry {
-                tag,
-                lru: stamp,
-                value,
-            });
-            return None;
+        let entry = Entry {
+            tag,
+            lru: stamp,
+            value,
+        };
+        match empty {
+            Some(way) => {
+                self.entries[base + way] = Some(entry);
+                None
+            }
+            None => {
+                let victim = self.entries[base + lru_way]
+                    .replace(entry)
+                    .expect("victim way is full");
+                Some((victim.tag, victim.value))
+            }
         }
-
-        // Evict the LRU entry.
-        let victim_idx = range
-            .clone()
-            .min_by_key(|&i| self.entries[i].as_ref().map(|e| e.lru).unwrap_or(0))
-            .expect("non-empty range");
-        let victim = self.entries[victim_idx]
-            .replace(Entry {
-                tag,
-                lru: stamp,
-                value,
-            })
-            .expect("victim way is full");
-        Some((victim.tag, victim.value))
     }
 
     /// Removes `(set, tag)` and returns its value.
@@ -321,6 +329,85 @@ mod tests {
                 }
                 prop_assert_eq!(sut.len(), reference.order.len());
                 prop_assert!(sut.len() <= WAYS);
+            }
+        }
+
+        /// Against a reference that tracks every way's position, the
+        /// container agrees on insert results, hits, victims and
+        /// `iter_set` order across several sets — including after
+        /// removals leave the first empty way in the middle of a set.
+        #[test]
+        fn matches_positional_reference_with_holes(
+            ops in proptest::collection::vec((0u8..4, 0usize..3, 0u64..10), 1..300)
+        ) {
+            const SETS: usize = 3;
+            const WAYS: usize = 4;
+            let mut sut: SetAssoc<u32> = SetAssoc::new(SETS, WAYS);
+            // reference[set][way] = (tag, value, last use)
+            let mut reference = vec![[None::<(u64, u32, u64)>; WAYS]; SETS];
+            let mut clock = 0u64;
+            let mut payload = 0u32;
+
+            for (op, set, tag) in ops {
+                clock += 1;
+                payload += 1;
+                let ways = &mut reference[set];
+                let pos = ways.iter().position(|w| matches!(w, Some((t, _, _)) if *t == tag));
+                match op {
+                    0 => {
+                        let got = sut.insert(set, tag, payload);
+                        let want = if let Some(i) = pos {
+                            let (_, old, _) = ways[i].replace((tag, payload, clock)).unwrap();
+                            Some((tag, old))
+                        } else if let Some(i) = ways.iter().position(Option::is_none) {
+                            ways[i] = Some((tag, payload, clock));
+                            None
+                        } else {
+                            let i = (0..WAYS).min_by_key(|&i| ways[i].unwrap().2).unwrap();
+                            let (t, v, _) = ways[i].replace((tag, payload, clock)).unwrap();
+                            Some((t, v))
+                        };
+                        prop_assert_eq!(got, want);
+                    }
+                    1 => {
+                        let got = sut.get(set, tag).copied();
+                        let want = pos.map(|i| {
+                            let way = ways[i].as_mut().unwrap();
+                            way.2 = clock;
+                            way.1
+                        });
+                        prop_assert_eq!(got, want);
+                    }
+                    2 => {
+                        let got = sut.peek_mut(set, tag).map(|v| {
+                            *v += 1000;
+                            *v
+                        });
+                        let want = pos.map(|i| {
+                            let way = ways[i].as_mut().unwrap();
+                            way.1 += 1000;
+                            way.1
+                        });
+                        prop_assert_eq!(got, want);
+                    }
+                    _ => {
+                        let got = sut.remove(set, tag);
+                        let want = pos.map(|i| ways[i].take().unwrap().1);
+                        prop_assert_eq!(got, want);
+                    }
+                }
+                for (s, ways) in reference.iter().enumerate() {
+                    let order: Vec<(u64, u32)> = sut.iter_set(s).map(|(t, v)| (t, *v)).collect();
+                    let want: Vec<(u64, u32)> = ways.iter().flatten().map(|w| (w.0, w.1)).collect();
+                    prop_assert_eq!(order, want);
+                    let victim = sut.victim(s).map(|(t, v)| (t, *v));
+                    let want_victim = if ways.iter().any(Option::is_none) {
+                        None
+                    } else {
+                        ways.iter().flatten().min_by_key(|w| w.2).map(|w| (w.0, w.1))
+                    };
+                    prop_assert_eq!(victim, want_victim);
+                }
             }
         }
 

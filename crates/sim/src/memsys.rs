@@ -75,10 +75,12 @@ impl MemsysTimeline {
     /// Demand accesses per sampling window.
     pub const WINDOW: u64 = 1024;
 
-    /// Records one demand access; `stats` are the design's cumulative
-    /// counters and `outstanding` the window occupancy at issue time.
+    /// Records one demand access issued at cycle `at`; `stats` are the
+    /// design's cumulative counters and `window` the outstanding-request
+    /// window after the access retired into it. The occupancy scan runs
+    /// only at a sampling boundary, and only in `detailed-stats` builds.
     #[inline]
-    fn tick(&mut self, stats: &fc_cache::DramCacheStats, outstanding: usize) {
+    fn tick(&mut self, stats: &fc_cache::DramCacheStats, window: &BoundedQueue, at: u64) {
         #[cfg(feature = "detailed-stats")]
         {
             let inner = &mut self.inner;
@@ -91,14 +93,16 @@ impl MemsysTimeline {
                         .hit_ratio
                         .push(inner.total, hits as f64 / accesses as f64);
                 }
-                inner.occupancy.push(inner.total, outstanding as f64);
+                inner
+                    .occupancy
+                    .push(inner.total, window.outstanding_at(at) as f64);
                 inner.last_accesses = stats.accesses;
                 inner.last_hits = stats.hits;
             }
         }
         #[cfg(not(feature = "detailed-stats"))]
         {
-            let _ = (stats, outstanding);
+            let _ = (stats, window, at);
         }
     }
 
@@ -211,7 +215,7 @@ impl MemorySystem {
         let (ready, done) = self.execute(&plan, start);
         self.window.retire(done);
         self.timeline
-            .tick(self.cache.stats(), self.window.queue.outstanding_at(at));
+            .tick(self.cache.stats(), &self.window.queue, at);
         ready
     }
 

@@ -456,6 +456,22 @@ fn detailed_stats_on_publishes_timeseries() {
         "no hit-ratio series in {:?}",
         published.keys().collect::<Vec<_>>()
     );
+    // The outstanding-window occupancy, sampled every
+    // `MemsysTimeline::WINDOW` demand accesses. Pinned to the values the
+    // eager per-access computation produced, so moving where it is
+    // computed cannot move what it reports.
+    let occupancy = published
+        .get("Web Search / Footprint 64MB.memsys.window_occupancy")
+        .unwrap_or_else(|| {
+            panic!(
+                "no window-occupancy series in {:?}",
+                published.keys().collect::<Vec<_>>()
+            )
+        });
+    assert_eq!(
+        occupancy.samples(),
+        &[(1024, 15.0), (2048, 32.0), (3072, 6.0)]
+    );
     let json = format!(
         "{{{}}}",
         published
