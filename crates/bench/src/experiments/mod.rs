@@ -62,7 +62,6 @@ impl Table {
     }
 
     pub(crate) fn to_markdown(&self) -> String {
-        let ncols = self.header.len();
         let mut widths: Vec<usize> = self.header.iter().map(|h| h.len()).collect();
         for row in &self.rows {
             for (w, c) in widths.iter_mut().zip(row) {
@@ -88,7 +87,6 @@ impl Table {
         for row in &self.rows {
             out.push_str(&fmt_row(row, &widths));
         }
-        let _ = ncols;
         out
     }
 }

@@ -67,7 +67,8 @@ impl BansheeCache {
     ///
     /// # Panics
     ///
-    /// Panics if the capacity holds fewer than [`PAGE_WAYS`] pages.
+    /// Panics if the capacity holds fewer than 16 pages (the set
+    /// associativity).
     pub fn new(capacity_bytes: u64, geom: PageGeometry) -> Self {
         let pages = (capacity_bytes / geom.page_size() as u64) as usize;
         assert!(

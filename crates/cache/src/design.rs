@@ -153,11 +153,6 @@ impl DramCacheStats {
         }
     }
 
-    /// Total off-chip traffic in blocks (Figure 5b's numerator).
-    pub fn offchip_blocks(&self) -> u64 {
-        self.offchip_read_blocks + self.offchip_write_blocks
-    }
-
     /// Folds a produced plan's traffic into the counters, in one pass
     /// over its ops.
     pub fn absorb_plan(&mut self, plan: &AccessPlan) {
@@ -191,21 +186,24 @@ pub struct PredictionCounters {
     pub singleton_promotions: u64,
 }
 
-/// The canonical boxed design model: every layer that stores or clones
-/// a type-erased design uses this alias. The `Send + Sync` auto-trait
-/// bounds are part of the engine contract (the parallel executor and
-/// the parallel-in-time sampler move models across threads), so a bare
-/// `Box<dyn DramCacheModel>` is almost always a mistake — it cannot
-/// enter a [`MemorySystem`](../fc_sim/struct.MemorySystem.html).
+/// The boxed design model: the one way every layer stores, calls and
+/// clones a design. `fc_sim::DesignSpec::build` boxes each registry
+/// model into this alias, and `fc_sim::MemorySystem` dispatches every
+/// access through its vtable. The `Send + Sync` auto-trait bounds are
+/// part of the engine contract (the parallel executor and the
+/// parallel-in-time sampler move models across threads), so a bare
+/// `Box<dyn DramCacheModel>` is almost always a mistake: it cannot
+/// enter a `MemorySystem`.
 pub type BoxedModel = Box<dyn DramCacheModel + Send + Sync>;
 
 /// Object-safe cloning for boxed design models.
 ///
-/// Checkpointable simulation (the parallel-in-time sampler) needs to
-/// clone a [`BoxedModel`] without knowing the concrete type. Every
-/// `Clone + Send` model gets this for free via the blanket impl; design
-/// authors never implement it by hand — they `#[derive(Clone)]` and the
-/// supertrait bound is satisfied.
+/// Checkpointable simulation (the parallel-in-time sampler) clones a
+/// [`BoxedModel`] without knowing the concrete type; `BoxedModel`'s
+/// `Clone` impl calls this trait. Every `Clone + Send + Sync` model
+/// gets it for free via the blanket impl; design authors never
+/// implement it by hand: they `#[derive(Clone)]` and the supertrait
+/// bound is satisfied.
 pub trait CloneModel {
     /// Clones the model behind a fresh box.
     fn clone_model(&self) -> BoxedModel;
@@ -306,6 +304,22 @@ mod tests {
         assert_eq!(h.total(), 11);
         let f = h.fractions();
         assert!((f.iter().sum::<f64>() - 1.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn boxed_model_clone_preserves_state() {
+        use crate::SubBlockCache;
+        use fc_types::{PageGeometry, Pc};
+
+        let read = |addr: u64| MemAccess::read(Pc::new(0x400), PhysAddr::new(addr), 0);
+        let mut model: BoxedModel = Box::new(SubBlockCache::new(1 << 20, PageGeometry::new(2048)));
+        for i in 0..50u64 {
+            model.access(read(i * 0x1000));
+        }
+        let snapshot = model.clone();
+        assert_eq!(snapshot.stats(), model.stats());
+        model.access(read(0x990000));
+        assert_ne!(snapshot.stats().accesses, model.stats().accesses);
     }
 
     #[test]

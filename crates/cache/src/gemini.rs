@@ -71,8 +71,8 @@ impl GeminiCache {
     ///
     /// # Panics
     ///
-    /// Panics if the cold region would hold fewer than [`PAGE_WAYS`]
-    /// pages or `promote_hits == 0`.
+    /// Panics if the cold region would hold fewer than 16 pages (the
+    /// set associativity) or `promote_hits == 0`.
     pub fn new(capacity_bytes: u64, geom: PageGeometry, promote_hits: u32) -> Self {
         assert!(promote_hits > 0, "promote_hits must be positive");
         let page = geom.page_size() as u64;

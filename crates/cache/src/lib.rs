@@ -15,10 +15,10 @@
 //!   evictions, tag updates — bank time and energy only). The simulator
 //!   executes plans against the stacked and off-chip DRAM timing models.
 //! * The baseline designs themselves:
-//!   [`BlockBasedCache`] (Loh & Hill [24]: tags-in-DRAM, compound access
+//!   [`BlockBasedCache`] (Loh & Hill \[24\]: tags-in-DRAM, compound access
 //!   scheduling, [`MissMap`]), [`PageBasedCache`], [`SubBlockCache`]
 //!   (sectored; the "no overprediction" extreme of Section 3.1),
-//!   [`HotPageCache`] (CHOP-style filter cache of Section 6.7 [13]),
+//!   [`HotPageCache`] (CHOP-style filter cache of Section 6.7 \[13\]),
 //!   [`IdealCache`] (never misses — die-stacked main memory), and
 //!   [`NoCache`] (the baseline system without a DRAM cache).
 //! * Related-work contenders beyond the paper's own baselines (see

@@ -67,7 +67,8 @@ impl PageBasedCache {
     ///
     /// # Panics
     ///
-    /// Panics if the capacity holds fewer than [`PAGE_WAYS`] pages.
+    /// Panics if the capacity holds fewer than 16 pages (the set
+    /// associativity).
     pub fn new(capacity_bytes: u64, geom: PageGeometry) -> Self {
         Self::with_granularity(capacity_bytes, geom, WritebackGranularity::Page)
     }
@@ -76,7 +77,8 @@ impl PageBasedCache {
     ///
     /// # Panics
     ///
-    /// Panics if the capacity holds fewer than [`PAGE_WAYS`] pages.
+    /// Panics if the capacity holds fewer than 16 pages (the set
+    /// associativity).
     pub fn with_granularity(
         capacity_bytes: u64,
         geom: PageGeometry,

@@ -99,8 +99,8 @@ const NIL_OP: MemOp = MemOp {
     flavor: OpFlavor::Simple,
 };
 
-/// A small-vector of [`MemOp`]s: up to [`INLINE_OPS`] ops live inline in
-/// the plan itself; longer lists spill to the heap. This is the hot-path
+/// A small-vector of [`MemOp`]s: up to 4 ops live inline in the plan
+/// itself; longer lists spill to the heap. This is the hot-path
 /// container — per-access plans are built and dropped millions of times
 /// per simulated interval, and the inline representation keeps that
 /// malloc-free for every design in the registry.

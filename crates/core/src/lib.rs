@@ -18,7 +18,7 @@
 //!   page was evicted under that key. Code that touches data structures
 //!   the same way keeps touching them the same way — the spatial
 //!   correlation insight the predictor inherits from spatial memory
-//!   streaming [34].
+//!   streaming \[34\].
 //! * [`SingletonTable`] — the capacity optimization (Sections 3.2/4.4):
 //!   pages predicted to contain a single useful block and show no reuse
 //!   are *not allocated at all*; their block bypasses the cache. A small

@@ -355,7 +355,7 @@ impl Channel {
         self.access_inner(bank, row, kind, blocks, false, at)
     }
 
-    /// Loh & Hill compound access [24] for tags-in-DRAM block caches
+    /// Loh & Hill compound access \[24\] for tags-in-DRAM block caches
     /// (Section 5.2): within one row activation, a CAS first reads the
     /// set's embedded tag block, a one-cycle tag lookup determines the data
     /// block's location, a second CAS moves the data, and a final CAS

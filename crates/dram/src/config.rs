@@ -112,12 +112,6 @@ impl DramConfig {
         self.policy = policy;
         self
     }
-
-    /// Replaces the per-channel request-queue depth (builder-style).
-    pub fn with_queue_depth(mut self, queue_depth: u32) -> Self {
-        self.queue_depth = queue_depth;
-        self
-    }
 }
 
 #[cfg(test)]

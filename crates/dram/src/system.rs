@@ -219,7 +219,7 @@ impl DramSystem {
         self.channels[loc.channel].access(loc.bank, loc.row, kind, blocks, at)
     }
 
-    /// Tags-in-DRAM compound access (Loh & Hill [24]): like [`access`], but
+    /// Tags-in-DRAM compound access (Loh & Hill \[24\]): like [`access`], but
     /// a tag-read CAS precedes the data CAS on the critical path and a tag
     /// update burst follows off it. Used by the block-based design for its
     /// stacked-DRAM hits and fills.
@@ -267,11 +267,6 @@ impl DramSystem {
             stats.read_blocks,
             stats.write_blocks,
         )
-    }
-
-    /// Number of channels.
-    pub fn channel_count(&self) -> usize {
-        self.channels.len()
     }
 
     /// Publishes each channel's `detailed-stats` timeline under

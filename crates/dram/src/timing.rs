@@ -92,7 +92,7 @@ impl DramTimings {
 
     /// A variant with halved access latencies, used for the Figure 1
     /// "High-BW & Low-Latency" opportunity study ("halved DRAM latency
-    /// [24]").
+    /// \[24\]").
     pub fn halved_latency(mut self) -> Self {
         self.t_cas = self.t_cas.div_ceil(2);
         self.t_rcd = self.t_rcd.div_ceil(2);

@@ -14,8 +14,8 @@
 //! diffed outside the binary.
 
 use fc_cache::{
-    AlloyCache, BansheeCache, BlockBasedCache, GeminiCache, HotPageCache, IdealCache, NoCache,
-    PageBasedCache, SubBlockCache, WritebackGranularity,
+    AlloyCache, BansheeCache, BlockBasedCache, BoxedModel, GeminiCache, HotPageCache, IdealCache,
+    NoCache, PageBasedCache, SubBlockCache, WritebackGranularity,
 };
 use fc_dram::{DramConfig, RowPolicy};
 use fc_types::record::{json_object, RecordWriter};
@@ -25,7 +25,6 @@ use serde::{Deserialize, Serialize};
 
 use crate::json::JsonValue;
 use crate::memsys::MemorySystem;
-use crate::model::DesignModel;
 
 /// A named DRAM configuration from Table 3 that a [`DramSpec`] starts
 /// from.
@@ -445,7 +444,7 @@ impl DesignSpec {
     }
 
     /// CHOP-style hot-page filter cache (4 KB pages, hot after 2
-    /// accesses — [13] finds 4 KB optimal).
+    /// accesses — \[13\] finds 4 KB optimal).
     pub fn hotpage(mb: u64) -> Self {
         Self {
             cache: CacheSpec::HotPage {
@@ -593,48 +592,51 @@ impl DesignSpec {
         }
     }
 
-    /// Instantiates the design's cache model (as an enum-dispatched
-    /// [`DesignModel`] — no boxing, no vtable on the hot path) and DRAM
-    /// systems.
+    /// Instantiates the design's cache model, boxed as a
+    /// [`BoxedModel`] (the one place a registry model is boxed), and
+    /// its DRAM systems.
     pub fn build(&self) -> MemorySystem {
-        let cache: DesignModel = match self.cache {
-            CacheSpec::None => NoCache::new().into(),
-            CacheSpec::Ideal => IdealCache::new().into(),
-            CacheSpec::Block { mb } => BlockBasedCache::new(mb << 20).into(),
+        let cache: BoxedModel = match self.cache {
+            CacheSpec::None => Box::new(NoCache::new()),
+            CacheSpec::Ideal => Box::new(IdealCache::new()),
+            CacheSpec::Block { mb } => Box::new(BlockBasedCache::new(mb << 20)),
             CacheSpec::Page {
                 mb,
                 page_bytes,
                 writeback,
-            } => PageBasedCache::with_granularity(
+            } => Box::new(PageBasedCache::with_granularity(
                 mb << 20,
                 PageGeometry::new(page_bytes as usize),
                 writeback,
-            )
-            .into(),
-            CacheSpec::Footprint { config } => FootprintCache::new(config).into(),
-            CacheSpec::SubBlock { mb, page_bytes } => {
-                SubBlockCache::new(mb << 20, PageGeometry::new(page_bytes as usize)).into()
-            }
+            )),
+            CacheSpec::Footprint { config } => Box::new(FootprintCache::new(config)),
+            CacheSpec::SubBlock { mb, page_bytes } => Box::new(SubBlockCache::new(
+                mb << 20,
+                PageGeometry::new(page_bytes as usize),
+            )),
             CacheSpec::HotPage {
                 mb,
                 page_bytes,
                 threshold,
-            } => HotPageCache::new(mb << 20, PageGeometry::new(page_bytes as usize), threshold)
-                .into(),
-            CacheSpec::Alloy { mb } => AlloyCache::new(mb << 20).into(),
-            CacheSpec::Banshee { mb, page_bytes } => {
-                BansheeCache::new(mb << 20, PageGeometry::new(page_bytes as usize)).into()
-            }
+            } => Box::new(HotPageCache::new(
+                mb << 20,
+                PageGeometry::new(page_bytes as usize),
+                threshold,
+            )),
+            CacheSpec::Alloy { mb } => Box::new(AlloyCache::new(mb << 20)),
+            CacheSpec::Banshee { mb, page_bytes } => Box::new(BansheeCache::new(
+                mb << 20,
+                PageGeometry::new(page_bytes as usize),
+            )),
             CacheSpec::Gemini {
                 mb,
                 page_bytes,
                 promote_hits,
-            } => GeminiCache::new(
+            } => Box::new(GeminiCache::new(
                 mb << 20,
                 PageGeometry::new(page_bytes as usize),
                 promote_hits,
-            )
-            .into(),
+            )),
         };
         MemorySystem::new(
             cache,

@@ -248,8 +248,8 @@ impl Simulation {
         }
     }
 
-    /// Replays a record slice through the hierarchy, one [`step`]
-    /// (Simulation::step) per record.
+    /// Replays a record slice through the hierarchy, one
+    /// [`step`](Simulation::step) per record.
     pub fn step_slice(&mut self, records: &[TraceRecord]) {
         for r in records {
             self.step(r);

@@ -12,10 +12,11 @@
 //!
 //! The flow per trace record: the record (already L1-filtered by the
 //! trace model) probes the shared L2; an L2 miss becomes a demand access
-//! to the DRAM cache design, which produces an [`AccessPlan`]
-//! (fc-cache); the [`MemorySystem`] executes the plan against the stacked
-//! and off-chip [`DramSystem`]s, yielding the request latency and all
-//! traffic/energy accounting. L2 dirty victims become writebacks, which
+//! to the DRAM cache design, which produces an
+//! [`AccessPlan`](fc_cache::AccessPlan); the [`MemorySystem`] executes
+//! the plan against the stacked and off-chip
+//! [`DramSystem`](fc_dram::DramSystem)s, yielding the request latency
+//! and all traffic/energy accounting. L2 dirty victims become writebacks, which
 //! dirty DRAM-cache blocks or go straight off-chip.
 //!
 //! Designs are *data*: a [`DesignSpec`] (cache model + stacked and
@@ -46,7 +47,6 @@ mod engine;
 mod l2filter;
 pub mod loaded;
 mod memsys;
-mod model;
 pub mod registry;
 mod report;
 
@@ -60,7 +60,6 @@ pub use design::{CacheSpec, DesignSpec, DramPreset, DramSpec};
 pub use engine::{Checkpoint, Simulation, DETAILED_TAIL};
 pub use l2filter::L2Outcomes;
 pub use memsys::{MemorySystem, MemsysTimeline};
-pub use model::DesignModel;
 pub use registry::{design_family, resolve_designs, DesignFamily, DESIGN_FAMILIES};
 pub use report::{
     consolidation, ConsolidationReport, CorePerf, EnergyReport, ReportSnapshot, SimReport,

@@ -2,11 +2,9 @@
 //! DRAM timing models, glued together by the plan executor behind an
 //! MSHR-style outstanding-request window.
 
-use fc_cache::{AccessPlan, DramCacheModel, MemOp, MemTarget, OpFlavor};
+use fc_cache::{AccessPlan, BoxedModel, DramCacheModel, MemOp, MemTarget, OpFlavor};
 use fc_dram::{BoundedQueue, DramConfig, DramStats, DramSystem, EnergyBreakdown};
 use fc_types::{MemAccess, PhysAddr, BLOCK_SIZE};
-
-use crate::model::DesignModel;
 
 /// The MSHR-style outstanding-request window shared by every requester
 /// below the L2: demand accesses, fills, and writebacks each occupy one
@@ -124,9 +122,8 @@ impl MemsysTimeline {
 /// A complete pod memory system below the L2.
 #[derive(Clone)]
 pub struct MemorySystem {
-    /// Enum-dispatched on the hot path ([`DesignModel`]); boxed dyn
-    /// models enter through its `Extension` variant.
-    cache: DesignModel,
+    /// The design model, dyn-dispatched (one vtable call per access).
+    cache: BoxedModel,
     stacked: Option<DramSystem>,
     offchip: DramSystem,
     window: RequestWindow,
@@ -140,17 +137,12 @@ impl MemorySystem {
     pub const DEFAULT_WINDOW: usize = 64;
 
     /// Assembles a memory system. `stacked` is `None` for the baseline
-    /// (no die-stacked DRAM). Accepts anything convertible into a
-    /// [`DesignModel`]: a concrete model (`FootprintCache::new(cfg)`,
-    /// enum-dispatched) or a [`fc_cache::BoxedModel`] (dyn-dispatched
-    /// through the extension hatch).
-    pub fn new(
-        cache: impl Into<DesignModel>,
-        stacked: Option<DramConfig>,
-        offchip: DramConfig,
-    ) -> Self {
+    /// (no die-stacked DRAM). Registry designs arrive boxed from
+    /// [`DesignSpec::build`](crate::DesignSpec::build); any other
+    /// [`DramCacheModel`] plugs in the same way, as `Box::new(model)`.
+    pub fn new(cache: BoxedModel, stacked: Option<DramConfig>, offchip: DramConfig) -> Self {
         Self {
-            cache: cache.into(),
+            cache,
             stacked: stacked.map(DramSystem::new),
             offchip: DramSystem::new(offchip),
             window: RequestWindow::new(Self::DEFAULT_WINDOW),
@@ -176,7 +168,7 @@ impl MemorySystem {
 
     /// The cache design.
     pub fn cache(&self) -> &(dyn DramCacheModel + Send + Sync) {
-        self.cache.as_dyn()
+        self.cache.as_ref()
     }
 
     /// Off-chip DRAM counters.

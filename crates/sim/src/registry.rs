@@ -10,15 +10,11 @@
 //!
 //! 1. Implement the model in `fc-cache` (a `DramCacheModel`).
 //! 2. Add a [`CacheSpec`](crate::CacheSpec) variant and a
-//!    [`DesignSpec`] constructor (with the design's DRAM specs), plus
-//!    its JSON encode/decode arms.
-//! 3. Wire the model into [`DesignModel`](crate::DesignModel)
-//!    (`crates/sim/src/model.rs`): a new variant, a `dispatch!` arm,
-//!    and a `From` impl. The hot loop dispatches registry designs by
-//!    `match`; the `Extension` variant (any boxed `DramCacheModel`)
-//!    is the dynamic-dispatch escape hatch for models that stay
-//!    outside the enum.
-//! 4. Append one [`DesignFamily`] row here.
+//!    [`DesignSpec`] constructor (with the design's DRAM specs), its
+//!    JSON encode/decode arms, and its arm in
+//!    [`DesignSpec::build`], which boxes the model into the
+//!    `fc_cache::BoxedModel` that the memory system calls.
+//! 3. Append one [`DesignFamily`] row here.
 //!
 //! Sweeps, the CLI, hashing and the emitters pick the design up with
 //! no further changes.
@@ -139,10 +135,23 @@ pub fn design_family(name: &str) -> Option<&'static DesignFamily> {
         .find(|f| f.name.eq_ignore_ascii_case(name.trim()))
 }
 
+/// The largest stacked capacity, in MB, that [`resolve_designs`]
+/// accepts: 8x the paper's largest (512 MB). A Block-based model
+/// allocates a 1.5 GB tag array at this size; far larger requests
+/// would abort the process on allocation, or wrap `mb << 20` to 0 at
+/// 2^44 MB.
+pub const MAX_CAPACITY_MB: u64 = 4096;
+
 /// Resolves a comma-separated family list against a capacity list,
 /// e.g. `"page,alloy"` × `[64, 256]` → four specs. Unknown names
-/// report the full catalogue.
+/// report the full catalogue; a capacity above [`MAX_CAPACITY_MB`] is
+/// an error.
 pub fn resolve_designs(list: &str, capacities: &[u64]) -> Result<Vec<DesignSpec>, String> {
+    if let Some(mb) = capacities.iter().find(|&&mb| mb > MAX_CAPACITY_MB) {
+        return Err(format!(
+            "capacity {mb} MB exceeds the {MAX_CAPACITY_MB} MB ceiling"
+        ));
+    }
     let mut specs = Vec::new();
     for name in list.split(',') {
         let family = design_family(name).ok_or_else(|| {
@@ -193,6 +202,8 @@ mod tests {
         let specs = resolve_designs("page,alloy,baseline", &[64, 128]).unwrap();
         assert_eq!(specs.len(), 5);
         assert!(resolve_designs("page,warpdrive", &[64]).is_err());
+        assert!(resolve_designs("block", &[MAX_CAPACITY_MB]).is_ok());
+        assert!(resolve_designs("block", &[64, MAX_CAPACITY_MB + 1]).is_err());
     }
 
     #[test]

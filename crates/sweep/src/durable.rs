@@ -19,7 +19,7 @@
 //!   simply recomputed on demand.
 //!
 //! Keys are placed on shards by the consistent-hash
-//! [`HashRing`](crate::ring::HashRing) over the *mixed* FNV point
+//! [`HashRing`] over the *mixed* FNV point
 //! hash, so growing the shard count relocates only ~K/n keys (see
 //! `ring.rs`). Writes are appends (flushed per record); rewrites —
 //! compaction of duplicate keys, salvage, resize — go through

@@ -21,7 +21,7 @@
 //! Determinism matches the rest of the sweep subsystem: a mix point's
 //! seed is a pure function of the point (scenario canonical JSON +
 //! base seed), every point simulates on a fresh
-//! [`Simulation`](fc_sim::Simulation), and per-scenario record streams
+//! [`Simulation`], and per-scenario record streams
 //! are synthesized once and shared read-only — results are
 //! bit-identical for any worker-thread count.
 

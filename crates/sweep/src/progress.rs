@@ -180,11 +180,6 @@ impl Progress {
     pub fn total(&self) -> usize {
         self.total
     }
-
-    /// Seconds since the tracker was created.
-    pub fn elapsed_secs(&self) -> f64 {
-        self.started.elapsed().as_secs_f64()
-    }
 }
 
 impl Drop for Progress {

@@ -6,8 +6,9 @@
 //! engine's worker pool with the detailed executor's discipline —
 //! per-point seeds that are pure functions of the point, the shared
 //! [`TraceCache`](crate::TraceCache), and memoization in the engine's
-//! sampled [`ResultStore`] (the plan is folded into the FNV key, so a
-//! point sampled under two plans never aliases). Dispatch is
+//! sampled [`ResultStore`](crate::ResultStore) (the plan is folded
+//! into the FNV key, so a point sampled under two plans never
+//! aliases). Dispatch is
 //! parallel-in-time: a point whose plan skips fans its measured
 //! periods out as independent tasks, each restoring the point's base
 //! checkpoint. Results are bit-identical for any worker-thread count,

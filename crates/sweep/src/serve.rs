@@ -6,7 +6,7 @@
 //! passed `--store` — and schedules only the missing points on the
 //! deterministic executor. Results stream back as JSONL: one `point`
 //! record per sweep point (the same record text as one
-//! [`emit::to_json`](crate::emit::to_json) element) followed by one `summary`
+//! [`emit::to_json`] element) followed by one `summary`
 //! record per request.
 //!
 //! # Request shape
@@ -473,22 +473,31 @@ mod tests {
     #[test]
     fn bad_requests_get_error_responses_not_panics() {
         let engine = engine();
-        let input = "not json at all\n\
-                     {\"id\": \"x\", \"scale\": \"galactic\"}\n\
-                     {\"id\": \"y\", \"workloads\": [\"no such workload\"]}\n\
-                     {\"id\": \"z\", \"grid\": \"fig99\"}\n";
+        // Capacities above the registry ceiling: 2^20 MB would allocate
+        // hundreds of GB, and 2^44 MB wraps `mb << 20` to 0.
+        let input = format!(
+            "not json at all\n\
+             {{\"id\": \"x\", \"scale\": \"galactic\"}}\n\
+             {{\"id\": \"y\", \"workloads\": [\"no such workload\"]}}\n\
+             {{\"id\": \"z\", \"grid\": \"fig99\"}}\n\
+             {{\"id\": \"huge\", \"capacities\": [1048576], \"designs\": \"block\"}}\n\
+             {{\"id\": \"wrap\", \"capacities\": [17592186044416]}}\n\
+             {}\n",
+            request("after")
+        );
         let mut out = Vec::new();
         let totals = serve_jsonl(&engine, Cursor::new(input), &mut out).unwrap();
-        assert_eq!(totals.requests, 4);
-        assert_eq!(totals.errors, 4);
-        assert_eq!(totals.points, 0);
+        assert_eq!(totals.requests, 7);
+        assert_eq!(totals.errors, 6);
+        assert_eq!(totals.points, 2, "the request after the errors is served");
         let text = String::from_utf8(out).unwrap();
-        for line in text.lines() {
+        for line in text.lines().take(6) {
             let v = JsonValue::parse(line).unwrap();
             assert_eq!(v.field("type").unwrap().as_str().unwrap(), "error");
         }
         // Errors carry the request id when one was parseable.
         assert!(text.contains("\"id\": \"x\""));
+        assert!(text.contains("exceeds the 4096 MB ceiling"));
     }
 
     #[test]

@@ -212,3 +212,10 @@ fn unknown_argument_exits_2() {
     assert_eq!(out.status.code(), Some(2));
     assert!(String::from_utf8_lossy(&out.stderr).contains("unknown argument `--no-such-flag`"));
 }
+
+#[test]
+fn capacity_above_the_ceiling_exits_2() {
+    let out = fc_sweep(&["--capacities", "1048576", "--scale", "tiny"]);
+    assert_eq!(out.status.code(), Some(2));
+    assert!(String::from_utf8_lossy(&out.stderr).contains("exceeds the 4096 MB ceiling"));
+}

@@ -125,11 +125,6 @@ impl ScenarioSpec {
         u8::try_from(self.assignments.len()).expect("scenarios support at most 255 cores")
     }
 
-    /// Whether every core runs the same workload in every phase.
-    pub fn is_homogeneous(&self) -> bool {
-        self.assignments.iter().all(|w| *w == self.assignments[0])
-    }
-
     /// The distinct workloads of the scenario, in paper figure order.
     pub fn workloads(&self) -> Vec<WorkloadKind> {
         WorkloadKind::ALL
