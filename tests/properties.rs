@@ -27,23 +27,40 @@ fn ops_strategy(max_pages: u64) -> impl Strategy<Value = Vec<Op>> {
     )
 }
 
-fn apply(design: &mut dyn DramCacheModel, ops: &[Op]) {
-    for &(page, offset, pc, write, is_wb) in ops {
-        let addr = PhysAddr::new(page * 2048 + offset as u64 * 64);
-        if is_wb {
-            design.writeback(addr);
+/// The demand access an op encodes (its address is also the writeback
+/// address when the op is a writeback).
+fn access_of(&(page, offset, pc, write, _): &Op) -> MemAccess {
+    MemAccess {
+        pc: Pc::new(0x400 + pc as u64 * 4),
+        addr: PhysAddr::new(page * 2048 + offset as u64 * 64),
+        kind: if write {
+            AccessKind::Write
         } else {
-            let kind = if write {
-                AccessKind::Write
-            } else {
-                AccessKind::Read
-            };
-            design.access(MemAccess {
-                pc: Pc::new(0x400 + pc as u64 * 4),
-                addr,
-                kind,
-                core: 0,
-            });
+            AccessKind::Read
+        },
+        core: 0,
+    }
+}
+
+fn apply(design: &mut dyn DramCacheModel, ops: &[Op]) {
+    for op in ops {
+        let req = access_of(op);
+        if op.4 {
+            design.writeback(req.addr);
+        } else {
+            design.access(req);
+        }
+    }
+}
+
+/// [`apply`] through the functional-warm-up entry points.
+fn warm(design: &mut dyn DramCacheModel, ops: &[Op]) {
+    for op in ops {
+        let req = access_of(op);
+        if op.4 {
+            design.warm_writeback(req.addr);
+        } else {
+            design.warm_access(req);
         }
     }
 }
@@ -160,6 +177,43 @@ proptest! {
         }
     }
 
+    /// Functional warm-up is the detailed transition without the plan:
+    /// for every design, a clone driven through `warm_access` /
+    /// `warm_writeback` ends with the same counters and prediction
+    /// counters as one driven through `access` / `writeback`, and the
+    /// same tag, replacement and predictor state (equal plans for a
+    /// fixed probe stream afterwards). Page at both writeback
+    /// granularities, Sub-blocked and Footprint evict dirty pages here,
+    /// and Footprint trains, bypasses and promotes.
+    #[test]
+    fn warm_path_matches_detailed_path(ops in ops_strategy(PAGES)) {
+        let probes: Vec<Op> = (0..64u64)
+            .map(|i| (i * 37 % PAGES, (i * 5 % 32) as u8, (i % 8) as u8, false, i % 4 == 3))
+            .collect();
+        for mut detailed in designs() {
+            let mut warmed = detailed.clone();
+            apply(detailed.as_mut(), &ops);
+            warm(warmed.as_mut(), &ops);
+            let name = detailed.name();
+            prop_assert_eq!(detailed.stats(), warmed.stats(), "{}: stats differ", name);
+            prop_assert_eq!(
+                detailed.prediction_counters(),
+                warmed.prediction_counters(),
+                "{}: prediction counters differ", name
+            );
+            for probe in &probes {
+                let req = access_of(probe);
+                if probe.4 {
+                    prop_assert_eq!(detailed.writeback(req.addr), warmed.writeback(req.addr),
+                        "{}: writeback probe {:?}", name, probe);
+                } else {
+                    prop_assert_eq!(detailed.access(req), warmed.access(req),
+                        "{}: access probe {:?}", name, probe);
+                }
+            }
+        }
+    }
+
     /// Footprint Cache specifics: demanded blocks at eviction partition
     /// into covered + underpredicted; a re-run of the same stream is
     /// deterministic.
@@ -221,4 +275,43 @@ proptest! {
             "more hits than repeat accesses: hits={} uniques={} accesses={}",
             s.hits, unique_pages.len(), s.accesses);
     }
+}
+
+/// The generated cases of `warm_path_matches_detailed_path` reach the
+/// transitions it claims to check: summed over its 48 cases, Page (both
+/// granularities), Sub-blocked and Footprint write back dirty victims,
+/// and Footprint covers, overpredicts, underpredicts, bypasses
+/// singletons and promotes them.
+#[test]
+fn lockstep_cases_reach_every_transition() {
+    let mut dirty = std::collections::BTreeMap::new();
+    let mut footprint = fc_cache::PredictionCounters::default();
+    for case in 0..48 {
+        let ops = ops_strategy(PAGES).generate(&mut proptest::TestRng::for_case(case));
+        for (i, mut design) in designs().into_iter().enumerate() {
+            apply(design.as_mut(), &ops);
+            *dirty.entry((i, design.name())).or_insert(0) += design.stats().dirty_evictions;
+            if let Some(p) = design.prediction_counters() {
+                footprint.covered += p.covered;
+                footprint.overpredicted += p.overpredicted;
+                footprint.underpredicted += p.underpredicted;
+                footprint.singleton_bypasses += p.singleton_bypasses;
+                footprint.singleton_promotions += p.singleton_promotions;
+            }
+        }
+    }
+    for ((_, name), n) in &dirty {
+        if matches!(*name, "Page-based" | "Sub-blocked" | "Footprint") {
+            assert!(*n > 0, "{name}: no dirty eviction in the lockstep cases");
+        }
+    }
+    let p = footprint;
+    assert!(
+        p.covered > 0
+            && p.overpredicted > 0
+            && p.underpredicted > 0
+            && p.singleton_bypasses > 0
+            && p.singleton_promotions > 0,
+        "Footprint transitions missing from the lockstep cases: {p:?}"
+    );
 }
