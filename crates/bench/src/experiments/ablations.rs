@@ -117,13 +117,12 @@ pub fn ablation_key(lab: &mut Lab) -> String {
         for (name, design) in keyed_designs {
             let report = lab.run(w, design);
             let p = report.prediction.expect("footprint counters");
-            let demanded = (p.covered + p.underpredicted).max(1) as f64;
             table.row(vec![
                 w.name().into(),
                 name.into(),
                 pct(report.cache.miss_ratio()),
-                pct(p.covered as f64 / demanded),
-                pct(p.overpredicted as f64 / demanded),
+                pct(p.coverage()),
+                pct(p.overprediction_rate()),
             ]);
         }
     }

@@ -34,13 +34,12 @@ pub fn fig8(lab: &mut Lab) -> String {
             let p = report
                 .prediction
                 .expect("footprint design reports prediction counters");
-            let demanded = (p.covered + p.underpredicted).max(1) as f64;
             table.row(vec![
                 w.name().into(),
                 format!("{page_size}"),
-                pct(p.covered as f64 / demanded),
-                pct(p.underpredicted as f64 / demanded),
-                pct(p.overpredicted as f64 / demanded),
+                pct(p.coverage()),
+                pct(p.underprediction_rate()),
+                pct(p.overprediction_rate()),
             ]);
         }
     }

@@ -13,7 +13,7 @@
 use fc_types::{BlockAddr, MemAccess, PhysAddr};
 
 use crate::design::{DramCacheModel, DramCacheStats, StorageItem};
-use crate::plan::{AccessPlan, MemOp, MemTarget};
+use crate::plan::{AccessPlan, BlockCounts, MemOp, MemTarget, OpSink};
 
 /// Bytes per TAD unit: a 64-byte data block plus an 8-byte tag.
 const TAD_BYTES: u64 = 72;
@@ -79,17 +79,15 @@ impl AlloyCache {
     fn block_of(&self, index: usize, tag: u64) -> BlockAddr {
         BlockAddr::new(tag * self.slots.len() as u64 + index as u64)
     }
-}
 
-impl DramCacheModel for AlloyCache {
-    fn access(&mut self, req: MemAccess) -> AccessPlan {
+    /// The demand-access transition, for either sink.
+    fn access_into(&mut self, req: MemAccess, sink: &mut impl OpSink) {
         self.stats.accesses += 1;
         let block = req.addr.block();
         let (index, tag) = self.decompose(block);
         // No SRAM structure on the lookup path: the tag rides with the
         // data in the TAD burst.
-        let mut plan = AccessPlan::tag_only(false, 0);
-        plan.critical.push(MemOp::compound(
+        sink.critical(MemOp::compound(
             MemTarget::Stacked,
             self.slot_addr(index),
             fc_types::AccessKind::Read,
@@ -97,21 +95,19 @@ impl DramCacheModel for AlloyCache {
 
         if matches!(self.slots[index], Some(t) if t.tag == tag) {
             self.stats.hits += 1;
-            plan.hit = true;
-            self.stats.absorb_plan(&plan);
-            return plan;
+            sink.mark_hit();
+            return;
         }
 
         // Miss: the probe already happened; fetch the block serially
         // from off-chip memory and fill the slot.
         self.stats.misses += 1;
-        plan.critical
-            .push(MemOp::read(MemTarget::OffChip, block.base(), 1));
+        sink.critical(MemOp::read(MemTarget::OffChip, block.base(), 1));
         if let Some(victim) = self.slots[index].replace(Tad { tag, dirty: false }) {
             self.stats.evictions += 1;
             if victim.dirty {
                 self.stats.dirty_evictions += 1;
-                plan.background.push(MemOp::write(
+                sink.background(MemOp::write(
                     MemTarget::OffChip,
                     self.block_of(index, victim.tag).base(),
                     1,
@@ -119,24 +115,22 @@ impl DramCacheModel for AlloyCache {
             }
         }
         self.stats.fill_blocks += 1;
-        plan.background.push(MemOp::compound(
+        sink.background(MemOp::compound(
             MemTarget::Stacked,
             self.slot_addr(index),
             fc_types::AccessKind::Write,
         ));
-        self.stats.absorb_plan(&plan);
-        plan
     }
 
-    fn writeback(&mut self, addr: PhysAddr) -> AccessPlan {
+    /// The L2-writeback transition, for either sink.
+    fn writeback_into(&mut self, addr: PhysAddr, sink: &mut impl OpSink) {
         let block = addr.block();
         let (index, tag) = self.decompose(block);
-        let mut plan = AccessPlan::tag_only(false, 0);
         match &mut self.slots[index] {
             Some(t) if t.tag == tag => {
                 t.dirty = true;
-                plan.hit = true;
-                plan.background.push(MemOp::compound(
+                sink.mark_hit();
+                sink.background(MemOp::compound(
                     MemTarget::Stacked,
                     self.slot_addr(index),
                     fc_types::AccessKind::Write,
@@ -144,12 +138,27 @@ impl DramCacheModel for AlloyCache {
             }
             _ => {
                 // Not cached: write through without allocating.
-                plan.background
-                    .push(MemOp::write(MemTarget::OffChip, block.base(), 1));
+                sink.background(MemOp::write(MemTarget::OffChip, block.base(), 1));
             }
         }
-        self.stats.absorb_plan(&plan);
-        plan
+    }
+}
+
+impl DramCacheModel for AlloyCache {
+    fn access(&mut self, req: MemAccess) -> AccessPlan {
+        AccessPlan::build(|plan| self.access_into(req, plan)).tally(&mut self.stats)
+    }
+
+    fn writeback(&mut self, addr: PhysAddr) -> AccessPlan {
+        AccessPlan::build(|plan| self.writeback_into(addr, plan)).tally(&mut self.stats)
+    }
+
+    fn warm_access(&mut self, req: MemAccess) {
+        BlockCounts::build(|counts| self.access_into(req, counts)).tally(&mut self.stats);
+    }
+
+    fn warm_writeback(&mut self, addr: PhysAddr) {
+        BlockCounts::build(|counts| self.writeback_into(addr, counts)).tally(&mut self.stats);
     }
 
     fn stats(&self) -> &DramCacheStats {

@@ -15,7 +15,7 @@ use fc_types::{Footprint, MemAccess, PageAddr, PageGeometry, PhysAddr};
 
 use crate::design::{sram_latency_cycles, DramCacheModel, DramCacheStats, StorageItem};
 use crate::page::PAGE_WAYS;
-use crate::plan::{AccessPlan, MemOp, MemTarget, OpList};
+use crate::plan::{AccessPlan, BlockCounts, MemOp, MemTarget, OpSink};
 use crate::setassoc::SetAssoc;
 
 /// Bits per page tag entry (tag + valid + LRU + 8-bit frequency).
@@ -124,7 +124,7 @@ impl BansheeCache {
 
     /// Emits eviction traffic for a victim page (dirty blocks only) and
     /// records its density.
-    fn evict(&mut self, set: usize, victim_tag: u64, info: PageInfo, background: &mut OpList) {
+    fn evict(&mut self, set: usize, victim_tag: u64, info: PageInfo, sink: &mut impl OpSink) {
         self.stats.evictions += 1;
         self.stats.density.record(info.touched.len());
         if info.dirty.is_empty() {
@@ -134,12 +134,12 @@ impl BansheeCache {
         let sets = self.tags.sets() as u64;
         let victim_page = PageAddr::new(victim_tag * sets + set as u64);
         let blocks = info.dirty.len() as u32;
-        background.push(MemOp::read(
+        sink.background(MemOp::read(
             MemTarget::Stacked,
             self.slot_addr(set, victim_tag),
             blocks,
         ));
-        background.push(MemOp::write(
+        sink.background(MemOp::write(
             MemTarget::OffChip,
             self.geom.page_base(victim_page),
             blocks,
@@ -155,10 +155,10 @@ impl BansheeCache {
         tag: u64,
         offset: usize,
         freq: u32,
-        plan: &mut AccessPlan,
+        sink: &mut impl OpSink,
     ) {
         let blocks = self.geom.blocks_per_page() as u32;
-        plan.critical.push(MemOp::read(
+        sink.critical(MemOp::read(
             MemTarget::OffChip,
             self.geom.page_base(page),
             blocks,
@@ -169,48 +169,45 @@ impl BansheeCache {
         };
         info.touched.insert(offset);
         if let Some((victim_tag, victim)) = self.tags.insert(set, tag, info) {
-            self.evict(set, victim_tag, victim, &mut plan.background);
+            self.evict(set, victim_tag, victim, sink);
         }
         // The candidate counter's job is done: the page is resident.
         let (cset, ctag) = self.candidate_slot(page);
         self.candidates.remove(cset, ctag);
         self.stats.fill_blocks += blocks as u64;
-        plan.background.push(MemOp::write(
+        sink.background(MemOp::write(
             MemTarget::Stacked,
             self.slot_addr(set, tag),
             blocks,
         ));
     }
-}
 
-impl DramCacheModel for BansheeCache {
-    fn access(&mut self, req: MemAccess) -> AccessPlan {
+    /// The demand-access transition, for either sink.
+    fn access_into(&mut self, req: MemAccess, sink: &mut impl OpSink) {
         self.stats.accesses += 1;
         let page = self.geom.page_of(req.addr);
         let offset = self.geom.block_offset(req.addr);
         let (set, tag) = self.decompose(page);
-        let mut plan = AccessPlan::tag_only(false, self.tag_latency);
+        sink.lookup(self.tag_latency);
 
         if let Some(info) = self.tags.get(set, tag) {
             info.touched.insert(offset);
             info.freq = (info.freq + 1).min(FREQ_MAX);
             self.stats.hits += 1;
-            plan.hit = true;
-            plan.critical
-                .push(MemOp::read(MemTarget::Stacked, self.slot_addr(set, tag), 1));
-            self.stats.absorb_plan(&plan);
-            return plan;
+            sink.mark_hit();
+            sink.critical(MemOp::read(MemTarget::Stacked, self.slot_addr(set, tag), 1));
+            return;
         }
 
         self.stats.misses += 1;
         let freq = self.observe_candidate(page);
         match self.tags.victim(set) {
             // Room in the set: fill unconditionally.
-            None => self.fill(page, set, tag, offset, freq, &mut plan),
+            None => self.fill(page, set, tag, offset, freq, sink),
             // Full set: replace only a less-popular victim.
             Some((victim_tag, victim)) if freq > victim.freq => {
                 let _ = victim_tag;
-                self.fill(page, set, tag, offset, freq, &mut plan);
+                self.fill(page, set, tag, offset, freq, sink);
             }
             Some((victim_tag, _)) => {
                 // Bypass block-by-block; age the victim so a dead page
@@ -219,34 +216,47 @@ impl DramCacheModel for BansheeCache {
                     victim.freq = victim.freq.saturating_sub(1);
                 }
                 self.stats.bypasses += 1;
-                plan.bypass = true;
-                plan.critical
-                    .push(MemOp::read(MemTarget::OffChip, req.addr.block().base(), 1));
+                sink.mark_bypass();
+                sink.critical(MemOp::read(MemTarget::OffChip, req.addr.block().base(), 1));
             }
         }
-        self.stats.absorb_plan(&plan);
-        plan
     }
 
-    fn writeback(&mut self, addr: PhysAddr) -> AccessPlan {
+    /// The L2-writeback transition, for either sink.
+    fn writeback_into(&mut self, addr: PhysAddr, sink: &mut impl OpSink) {
         let page = self.geom.page_of(addr);
         let offset = self.geom.block_offset(addr);
         let (set, tag) = self.decompose(page);
-        let mut plan = AccessPlan::tag_only(false, self.tag_latency);
+        sink.lookup(self.tag_latency);
         if let Some(info) = self.tags.get(set, tag) {
             info.dirty.insert(offset);
-            plan.hit = true;
-            plan.background.push(MemOp::write(
+            sink.mark_hit();
+            sink.background(MemOp::write(
                 MemTarget::Stacked,
                 self.slot_addr(set, tag),
                 1,
             ));
         } else {
-            plan.background
-                .push(MemOp::write(MemTarget::OffChip, addr.block().base(), 1));
+            sink.background(MemOp::write(MemTarget::OffChip, addr.block().base(), 1));
         }
-        self.stats.absorb_plan(&plan);
-        plan
+    }
+}
+
+impl DramCacheModel for BansheeCache {
+    fn access(&mut self, req: MemAccess) -> AccessPlan {
+        AccessPlan::build(|plan| self.access_into(req, plan)).tally(&mut self.stats)
+    }
+
+    fn writeback(&mut self, addr: PhysAddr) -> AccessPlan {
+        AccessPlan::build(|plan| self.writeback_into(addr, plan)).tally(&mut self.stats)
+    }
+
+    fn warm_access(&mut self, req: MemAccess) {
+        BlockCounts::build(|counts| self.access_into(req, counts)).tally(&mut self.stats);
+    }
+
+    fn warm_writeback(&mut self, addr: PhysAddr) {
+        BlockCounts::build(|counts| self.writeback_into(addr, counts)).tally(&mut self.stats);
     }
 
     fn stats(&self) -> &DramCacheStats {

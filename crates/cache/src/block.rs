@@ -15,7 +15,7 @@ use fc_types::{BlockAddr, MemAccess, PhysAddr};
 
 use crate::design::{DramCacheModel, DramCacheStats, StorageItem};
 use crate::missmap::MissMap;
-use crate::plan::{AccessPlan, MemOp, MemTarget, OpList};
+use crate::plan::{AccessPlan, BlockCounts, MemOp, MemTarget, OpSink};
 use crate::setassoc::SetAssoc;
 
 /// Data blocks per 2 KB DRAM row (set): 30 data + 2 tag blocks.
@@ -78,48 +78,45 @@ impl BlockBasedCache {
         BlockAddr::new(tag * self.tags.sets() as u64 + set as u64)
     }
 
-    /// Evicts `block` from the tag array (if present), appending the
-    /// required DRAM ops to `background`.
-    fn evict_block(&mut self, block: BlockAddr, background: &mut OpList) {
+    /// Evicts `block` from the tag array (if present), emitting the
+    /// required DRAM ops as background ops.
+    fn evict_block(&mut self, block: BlockAddr, sink: &mut impl OpSink) {
         let (set, tag) = self.decompose(block);
         if let Some(dirty) = self.tags.remove(set, tag) {
             self.stats.evictions += 1;
             if dirty {
                 self.stats.dirty_evictions += 1;
-                background.push(MemOp::read(MemTarget::Stacked, self.row_addr(set), 1));
-                background.push(MemOp::write(MemTarget::OffChip, block.base(), 1));
+                sink.background(MemOp::read(MemTarget::Stacked, self.row_addr(set), 1));
+                sink.background(MemOp::write(MemTarget::OffChip, block.base(), 1));
             }
             self.missmap.clear_present(block);
         }
     }
-}
 
-impl DramCacheModel for BlockBasedCache {
-    fn access(&mut self, req: MemAccess) -> AccessPlan {
+    /// The demand-access transition, for either sink.
+    fn access_into(&mut self, req: MemAccess, sink: &mut impl OpSink) {
         self.stats.accesses += 1;
         let block = req.addr.block();
         let (set, tag) = self.decompose(block);
-        let mut plan = AccessPlan::tag_only(false, self.missmap.latency_cycles());
+        sink.lookup(self.missmap.latency_cycles());
 
         if self.missmap.contains(block) && self.tags.get(set, tag).is_some() {
             // Hit: compound in-DRAM tag + data access. Demand accesses
             // always *read* the block into the L2 (write-allocate);
             // dirtying happens later through writebacks.
             self.stats.hits += 1;
-            plan.hit = true;
-            plan.critical.push(MemOp::compound(
+            sink.mark_hit();
+            sink.critical(MemOp::compound(
                 MemTarget::Stacked,
                 self.row_addr(set),
                 fc_types::AccessKind::Read,
             ));
-            self.stats.absorb_plan(&plan);
-            return plan;
+            return;
         }
 
         // Miss: demand block straight from memory (the MissMap's purpose).
         self.stats.misses += 1;
-        plan.critical
-            .push(MemOp::read(MemTarget::OffChip, block.base(), 1));
+        sink.critical(MemOp::read(MemTarget::OffChip, block.base(), 1));
 
         // Fill the block into its set (write-allocate), evicting the LRU
         // victim of the set if full.
@@ -128,15 +125,13 @@ impl DramCacheModel for BlockBasedCache {
             let victim = self.block_of(set, victim_tag);
             if dirty {
                 self.stats.dirty_evictions += 1;
-                plan.background
-                    .push(MemOp::read(MemTarget::Stacked, self.row_addr(set), 1));
-                plan.background
-                    .push(MemOp::write(MemTarget::OffChip, victim.base(), 1));
+                sink.background(MemOp::read(MemTarget::Stacked, self.row_addr(set), 1));
+                sink.background(MemOp::write(MemTarget::OffChip, victim.base(), 1));
             }
             self.missmap.clear_present(victim);
         }
         self.stats.fill_blocks += 1;
-        plan.background.push(MemOp::compound(
+        sink.background(MemOp::compound(
             MemTarget::Stacked,
             self.row_addr(set),
             fc_types::AccessKind::Write,
@@ -145,40 +140,50 @@ impl DramCacheModel for BlockBasedCache {
         // Update the MissMap; a displaced region forces eviction of all
         // its cached blocks — each in a different set, hence row.
         if let Some(region) = self.missmap.set_present(block) {
-            let mut bg = OpList::new();
             for offset in region.present.iter() {
                 let b = BlockAddr::new(region.base.raw() + offset as u64);
-                self.evict_block(b, &mut bg);
+                self.evict_block(b, sink);
             }
-            plan.background.append(&mut bg);
         }
-
-        self.stats.absorb_plan(&plan);
-        plan
     }
 
-    fn writeback(&mut self, addr: PhysAddr) -> AccessPlan {
+    /// The L2-writeback transition, for either sink.
+    fn writeback_into(&mut self, addr: PhysAddr, sink: &mut impl OpSink) {
         let block = addr.block();
         let (set, tag) = self.decompose(block);
-        let mut plan = AccessPlan::tag_only(false, self.missmap.latency_cycles());
+        sink.lookup(self.missmap.latency_cycles());
         if self.missmap.contains(block) {
             if let Some(dirty) = self.tags.get(set, tag) {
                 *dirty = true;
-                plan.hit = true;
-                plan.background.push(MemOp::compound(
+                sink.mark_hit();
+                sink.background(MemOp::compound(
                     MemTarget::Stacked,
                     self.row_addr(set),
                     fc_types::AccessKind::Write,
                 ));
-                self.stats.absorb_plan(&plan);
-                return plan;
+                return;
             }
         }
         // Not cached: write through to memory without allocating.
-        plan.background
-            .push(MemOp::write(MemTarget::OffChip, block.base(), 1));
-        self.stats.absorb_plan(&plan);
-        plan
+        sink.background(MemOp::write(MemTarget::OffChip, block.base(), 1));
+    }
+}
+
+impl DramCacheModel for BlockBasedCache {
+    fn access(&mut self, req: MemAccess) -> AccessPlan {
+        AccessPlan::build(|plan| self.access_into(req, plan)).tally(&mut self.stats)
+    }
+
+    fn writeback(&mut self, addr: PhysAddr) -> AccessPlan {
+        AccessPlan::build(|plan| self.writeback_into(addr, plan)).tally(&mut self.stats)
+    }
+
+    fn warm_access(&mut self, req: MemAccess) {
+        BlockCounts::build(|counts| self.access_into(req, counts)).tally(&mut self.stats);
+    }
+
+    fn warm_writeback(&mut self, addr: PhysAddr) {
+        BlockCounts::build(|counts| self.writeback_into(addr, counts)).tally(&mut self.stats);
     }
 
     fn stats(&self) -> &DramCacheStats {

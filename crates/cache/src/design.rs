@@ -2,9 +2,10 @@
 
 use serde::{Deserialize, Serialize};
 
-use fc_types::{AccessKind, MemAccess, PhysAddr};
+use fc_types::{MemAccess, PhysAddr};
 
-use crate::plan::{AccessPlan, MemTarget};
+use crate::metrics::PredictionCounters;
+use crate::plan::AccessPlan;
 
 /// Latency in core cycles of an SRAM structure of the given size.
 ///
@@ -152,38 +153,6 @@ impl DramCacheStats {
             self.hits as f64 / self.accesses as f64
         }
     }
-
-    /// Folds a produced plan's traffic into the counters, in one pass
-    /// over its ops.
-    pub fn absorb_plan(&mut self, plan: &AccessPlan) {
-        for op in plan.critical.iter().chain(&plan.background) {
-            let blocks = op.blocks as u64;
-            let counter = match (op.target, op.kind) {
-                (MemTarget::OffChip, AccessKind::Read) => &mut self.offchip_read_blocks,
-                (MemTarget::OffChip, AccessKind::Write) => &mut self.offchip_write_blocks,
-                (MemTarget::Stacked, AccessKind::Read) => &mut self.stacked_read_blocks,
-                (MemTarget::Stacked, AccessKind::Write) => &mut self.stacked_write_blocks,
-            };
-            *counter += blocks;
-        }
-    }
-}
-
-/// Raw footprint-prediction counters exposed through the design trait so
-/// the simulator can report Figure 8 without depending on the concrete
-/// Footprint Cache type.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct PredictionCounters {
-    /// Blocks predicted and demanded.
-    pub covered: u64,
-    /// Blocks fetched but never demanded.
-    pub overpredicted: u64,
-    /// Blocks demanded but not predicted.
-    pub underpredicted: u64,
-    /// Singleton-page bypasses.
-    pub singleton_bypasses: u64,
-    /// Singleton pages promoted by a second access.
-    pub singleton_promotions: u64,
 }
 
 /// The boxed design model: the one way every layer stores, calls and
@@ -229,6 +198,15 @@ impl Clone for BoxedModel {
 /// Models must also be cheaply cloneable ([`CloneModel`], free with
 /// `#[derive(Clone)]`) so engine state can be checkpointed at interval
 /// boundaries.
+///
+/// A design writes its demand and writeback transitions once, as
+/// inherent fns generic over an [`OpSink`](crate::OpSink), and the four
+/// transition methods are wrappers that pick the sink:
+/// `access`/`writeback` run the body over an [`AccessPlan`],
+/// `warm_access`/`warm_writeback` over [`BlockCounts`](crate::BlockCounts).
+/// Both then [`tally`](crate::OpSink::tally) the traffic into
+/// the design's stats, so the two paths leave identical state and
+/// counters by construction.
 pub trait DramCacheModel: CloneModel {
     /// Handles a demand access (a read or write that missed in the L2).
     fn access(&mut self, req: MemAccess) -> AccessPlan;
@@ -237,6 +215,15 @@ pub trait DramCacheModel: CloneModel {
     /// carry no PC (Section 7: evictions from upper levels are not
     /// tracked) and never stall the core.
     fn writeback(&mut self, addr: PhysAddr) -> AccessPlan;
+
+    /// Functional-warm-up counterpart of [`access`](Self::access): the
+    /// same state transitions (tags, replacement, MissMap, predictor,
+    /// statistics) with no plan built, for records whose DRAM timing is
+    /// not simulated.
+    fn warm_access(&mut self, req: MemAccess);
+
+    /// Functional-warm-up counterpart of [`writeback`](Self::writeback).
+    fn warm_writeback(&mut self, addr: PhysAddr);
 
     /// Accumulated statistics.
     fn stats(&self) -> &DramCacheStats;
@@ -251,24 +238,6 @@ pub trait DramCacheModel: CloneModel {
     /// Footprint Cache). Defaults to `None`.
     fn prediction_counters(&self) -> Option<PredictionCounters> {
         None
-    }
-
-    /// Functional-warmup update: applies a demand access's state
-    /// transitions (tags, replacement, MissMap, predictor, statistics)
-    /// without needing the returned [`AccessPlan`] to be executed
-    /// against any DRAM timing model. The default builds and discards
-    /// the plan, which by construction leaves the design in **exactly**
-    /// the state the detailed path would; designs with expensive plan
-    /// construction may override this with a plan-free update, provided
-    /// the resulting tag/metadata state stays identical.
-    fn warm_access(&mut self, req: MemAccess) {
-        let _ = self.access(req);
-    }
-
-    /// Functional-warmup counterpart of [`writeback`](Self::writeback):
-    /// applies the dirty-state transition without executing the plan.
-    fn warm_writeback(&mut self, addr: PhysAddr) {
-        let _ = self.writeback(addr);
     }
 }
 

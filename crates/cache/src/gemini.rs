@@ -15,7 +15,7 @@ use fc_types::{Footprint, MemAccess, PageAddr, PageGeometry, PhysAddr};
 
 use crate::design::{sram_latency_cycles, DramCacheModel, DramCacheStats, StorageItem};
 use crate::page::PAGE_WAYS;
-use crate::plan::{AccessPlan, MemOp, MemTarget, OpList};
+use crate::plan::{AccessPlan, BlockCounts, MemOp, MemTarget, OpSink};
 use crate::setassoc::SetAssoc;
 
 /// Bits per page tag entry (tag + valid + LRU + hit counter).
@@ -117,7 +117,7 @@ impl GeminiCache {
 
     /// Emits eviction traffic for a cold-region victim (dirty blocks
     /// only) and records its density.
-    fn evict_cold(&mut self, set: usize, victim_tag: u64, info: PageInfo, background: &mut OpList) {
+    fn evict_cold(&mut self, set: usize, victim_tag: u64, info: PageInfo, sink: &mut impl OpSink) {
         self.stats.evictions += 1;
         self.stats.density.record(info.touched.len());
         if info.dirty.is_empty() {
@@ -127,12 +127,12 @@ impl GeminiCache {
         let sets = self.cold.sets() as u64;
         let victim_page = PageAddr::new(victim_tag * sets + set as u64);
         let blocks = info.dirty.len() as u32;
-        background.push(MemOp::read(
+        sink.background(MemOp::read(
             MemTarget::Stacked,
             self.cold_addr(set, victim_tag),
             blocks,
         ));
-        background.push(MemOp::write(
+        sink.background(MemOp::write(
             MemTarget::OffChip,
             self.geom.page_base(victim_page),
             blocks,
@@ -142,17 +142,17 @@ impl GeminiCache {
     /// Promotes `page` (just removed from the cold region) into its
     /// direct-mapped slot, demoting any displaced page back into the
     /// cold region. All migration traffic stays inside the stack.
-    fn promote(&mut self, page: PageAddr, mut info: PageInfo, background: &mut OpList) {
+    fn promote(&mut self, page: PageAddr, mut info: PageInfo, sink: &mut impl OpSink) {
         info.hits = 0;
         let (index, tag) = self.hot_slot(page);
         let blocks = self.geom.blocks_per_page() as u32;
         let (cset, ctag) = self.cold_slot(page);
-        background.push(MemOp::read(
+        sink.background(MemOp::read(
             MemTarget::Stacked,
             self.cold_addr(cset, ctag),
             blocks,
         ));
-        background.push(MemOp::write(
+        sink.background(MemOp::write(
             MemTarget::Stacked,
             self.hot_addr(index),
             blocks,
@@ -162,12 +162,12 @@ impl GeminiCache {
             // Demote the displaced hot page set-associatively.
             let old_page = PageAddr::new(old.tag * self.hot.len() as u64 + index as u64);
             let (dset, dtag) = self.cold_slot(old_page);
-            background.push(MemOp::read(
+            sink.background(MemOp::read(
                 MemTarget::Stacked,
                 self.hot_addr(index),
                 blocks,
             ));
-            background.push(MemOp::write(
+            sink.background(MemOp::write(
                 MemTarget::Stacked,
                 self.cold_addr(dset, dtag),
                 blocks,
@@ -175,14 +175,13 @@ impl GeminiCache {
             let mut demoted = old.info;
             demoted.hits = 0;
             if let Some((victim_tag, victim)) = self.cold.insert(dset, dtag, demoted) {
-                self.evict_cold(dset, victim_tag, victim, background);
+                self.evict_cold(dset, victim_tag, victim, sink);
             }
         }
     }
-}
 
-impl DramCacheModel for GeminiCache {
-    fn access(&mut self, req: MemAccess) -> AccessPlan {
+    /// The demand-access transition, for either sink.
+    fn access_into(&mut self, req: MemAccess, sink: &mut impl OpSink) {
         self.stats.accesses += 1;
         let page = self.geom.page_of(req.addr);
         let offset = self.geom.block_offset(req.addr);
@@ -194,37 +193,32 @@ impl DramCacheModel for GeminiCache {
             let entry = self.hot[index].as_mut().expect("matched above");
             entry.info.touched.insert(offset);
             self.stats.hits += 1;
-            let mut plan = AccessPlan::tag_only(true, self.hot_latency);
-            plan.critical
-                .push(MemOp::read(MemTarget::Stacked, self.hot_addr(index), 1));
-            self.stats.absorb_plan(&plan);
-            return plan;
+            sink.lookup(self.hot_latency);
+            sink.mark_hit();
+            sink.critical(MemOp::read(MemTarget::Stacked, self.hot_addr(index), 1));
+            return;
         }
 
         let (set, tag) = self.cold_slot(page);
-        let mut plan = AccessPlan::tag_only(false, self.cold_latency);
+        sink.lookup(self.cold_latency);
         if let Some(info) = self.cold.get(set, tag) {
             info.touched.insert(offset);
             info.hits += 1;
             let promote = info.hits >= self.promote_hits;
             self.stats.hits += 1;
-            plan.hit = true;
-            plan.critical
-                .push(MemOp::read(MemTarget::Stacked, self.cold_addr(set, tag), 1));
+            sink.mark_hit();
+            sink.critical(MemOp::read(MemTarget::Stacked, self.cold_addr(set, tag), 1));
             if promote {
                 let info = self.cold.remove(set, tag).expect("entry just hit");
-                let mut background = OpList::new();
-                self.promote(page, info, &mut background);
-                plan.background.append(&mut background);
+                self.promote(page, info, sink);
             }
-            self.stats.absorb_plan(&plan);
-            return plan;
+            return;
         }
 
         // Miss in both regions: install set-associatively.
         self.stats.misses += 1;
         let blocks = self.geom.blocks_per_page() as u32;
-        plan.critical.push(MemOp::read(
+        sink.critical(MemOp::read(
             MemTarget::OffChip,
             self.geom.page_base(page),
             blocks,
@@ -232,49 +226,60 @@ impl DramCacheModel for GeminiCache {
         let mut info = PageInfo::default();
         info.touched.insert(offset);
         if let Some((victim_tag, victim)) = self.cold.insert(set, tag, info) {
-            let mut background = OpList::new();
-            self.evict_cold(set, victim_tag, victim, &mut background);
-            plan.background.append(&mut background);
+            self.evict_cold(set, victim_tag, victim, sink);
         }
         self.stats.fill_blocks += blocks as u64;
-        plan.background.push(MemOp::write(
+        sink.background(MemOp::write(
             MemTarget::Stacked,
             self.cold_addr(set, tag),
             blocks,
         ));
-        self.stats.absorb_plan(&plan);
-        plan
     }
 
-    fn writeback(&mut self, addr: PhysAddr) -> AccessPlan {
+    /// The L2-writeback transition, for either sink.
+    fn writeback_into(&mut self, addr: PhysAddr, sink: &mut impl OpSink) {
         let page = self.geom.page_of(addr);
         let offset = self.geom.block_offset(addr);
         let (index, htag) = self.hot_slot(page);
         if matches!(&self.hot[index], Some(e) if e.tag == htag) {
             let entry = self.hot[index].as_mut().expect("matched above");
             entry.info.dirty.insert(offset);
-            let mut plan = AccessPlan::tag_only(true, self.hot_latency);
-            plan.background
-                .push(MemOp::write(MemTarget::Stacked, self.hot_addr(index), 1));
-            self.stats.absorb_plan(&plan);
-            return plan;
+            sink.lookup(self.hot_latency);
+            sink.mark_hit();
+            sink.background(MemOp::write(MemTarget::Stacked, self.hot_addr(index), 1));
+            return;
         }
         let (set, tag) = self.cold_slot(page);
-        let mut plan = AccessPlan::tag_only(false, self.cold_latency);
+        sink.lookup(self.cold_latency);
         if let Some(info) = self.cold.get(set, tag) {
             info.dirty.insert(offset);
-            plan.hit = true;
-            plan.background.push(MemOp::write(
+            sink.mark_hit();
+            sink.background(MemOp::write(
                 MemTarget::Stacked,
                 self.cold_addr(set, tag),
                 1,
             ));
         } else {
-            plan.background
-                .push(MemOp::write(MemTarget::OffChip, addr.block().base(), 1));
+            sink.background(MemOp::write(MemTarget::OffChip, addr.block().base(), 1));
         }
-        self.stats.absorb_plan(&plan);
-        plan
+    }
+}
+
+impl DramCacheModel for GeminiCache {
+    fn access(&mut self, req: MemAccess) -> AccessPlan {
+        AccessPlan::build(|plan| self.access_into(req, plan)).tally(&mut self.stats)
+    }
+
+    fn writeback(&mut self, addr: PhysAddr) -> AccessPlan {
+        AccessPlan::build(|plan| self.writeback_into(addr, plan)).tally(&mut self.stats)
+    }
+
+    fn warm_access(&mut self, req: MemAccess) {
+        BlockCounts::build(|counts| self.access_into(req, counts)).tally(&mut self.stats);
+    }
+
+    fn warm_writeback(&mut self, addr: PhysAddr) {
+        BlockCounts::build(|counts| self.writeback_into(addr, counts)).tally(&mut self.stats);
     }
 
     fn stats(&self) -> &DramCacheStats {

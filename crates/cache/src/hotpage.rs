@@ -12,7 +12,7 @@ use fc_types::{Footprint, MemAccess, PageAddr, PageGeometry, PhysAddr};
 
 use crate::design::{sram_latency_cycles, DramCacheModel, DramCacheStats, StorageItem};
 use crate::page::PAGE_WAYS;
-use crate::plan::{AccessPlan, MemOp, MemTarget};
+use crate::plan::{AccessPlan, BlockCounts, MemOp, MemTarget, OpSink};
 use crate::setassoc::SetAssoc;
 
 /// Bits per filter-table entry (page tag + saturating counter).
@@ -104,40 +104,35 @@ impl HotPageCache {
             }
         }
     }
-}
 
-impl DramCacheModel for HotPageCache {
-    fn access(&mut self, req: MemAccess) -> AccessPlan {
+    /// The demand-access transition, for either sink.
+    fn access_into(&mut self, req: MemAccess, sink: &mut impl OpSink) {
         self.stats.accesses += 1;
         let page = self.geom.page_of(req.addr);
         let offset = self.geom.block_offset(req.addr);
         let (set, tag) = self.decompose(page);
-        let mut plan = AccessPlan::tag_only(false, self.tag_latency);
+        sink.lookup(self.tag_latency);
 
         if let Some(info) = self.tags.get(set, tag) {
             info.touched.insert(offset);
             self.stats.hits += 1;
-            plan.hit = true;
-            plan.critical
-                .push(MemOp::read(MemTarget::Stacked, self.slot_addr(set, tag), 1));
-            self.stats.absorb_plan(&plan);
-            return plan;
+            sink.mark_hit();
+            sink.critical(MemOp::read(MemTarget::Stacked, self.slot_addr(set, tag), 1));
+            return;
         }
 
         self.stats.misses += 1;
         if !self.observe(page) {
             // Cold page: bypass block by block, no allocation.
             self.stats.bypasses += 1;
-            plan.bypass = true;
-            plan.critical
-                .push(MemOp::read(MemTarget::OffChip, req.addr.block().base(), 1));
-            self.stats.absorb_plan(&plan);
-            return plan;
+            sink.mark_bypass();
+            sink.critical(MemOp::read(MemTarget::OffChip, req.addr.block().base(), 1));
+            return;
         }
 
         // Hot page: allocate and fetch whole page.
         let blocks = self.geom.blocks_per_page() as u32;
-        plan.critical.push(MemOp::read(
+        sink.critical(MemOp::read(
             MemTarget::OffChip,
             self.geom.page_base(page),
             blocks,
@@ -151,12 +146,12 @@ impl DramCacheModel for HotPageCache {
                 self.stats.dirty_evictions += 1;
                 let sets = self.tags.sets() as u64;
                 let victim_page = PageAddr::new(victim_tag * sets + set as u64);
-                plan.background.push(MemOp::read(
+                sink.background(MemOp::read(
                     MemTarget::Stacked,
                     self.slot_addr(set, victim_tag),
                     blocks,
                 ));
-                plan.background.push(MemOp::write(
+                sink.background(MemOp::write(
                     MemTarget::OffChip,
                     self.geom.page_base(victim_page),
                     blocks,
@@ -164,34 +159,48 @@ impl DramCacheModel for HotPageCache {
             }
         }
         self.stats.fill_blocks += blocks as u64;
-        plan.background.push(MemOp::write(
+        sink.background(MemOp::write(
             MemTarget::Stacked,
             self.slot_addr(set, tag),
             blocks,
         ));
-        self.stats.absorb_plan(&plan);
-        plan
     }
 
-    fn writeback(&mut self, addr: PhysAddr) -> AccessPlan {
+    /// The L2-writeback transition, for either sink.
+    fn writeback_into(&mut self, addr: PhysAddr, sink: &mut impl OpSink) {
         let page = self.geom.page_of(addr);
         let offset = self.geom.block_offset(addr);
         let (set, tag) = self.decompose(page);
-        let mut plan = AccessPlan::tag_only(false, self.tag_latency);
+        sink.lookup(self.tag_latency);
         if let Some(info) = self.tags.get(set, tag) {
             info.dirty.insert(offset);
-            plan.hit = true;
-            plan.background.push(MemOp::write(
+            sink.mark_hit();
+            sink.background(MemOp::write(
                 MemTarget::Stacked,
                 self.slot_addr(set, tag),
                 1,
             ));
         } else {
-            plan.background
-                .push(MemOp::write(MemTarget::OffChip, addr.block().base(), 1));
+            sink.background(MemOp::write(MemTarget::OffChip, addr.block().base(), 1));
         }
-        self.stats.absorb_plan(&plan);
-        plan
+    }
+}
+
+impl DramCacheModel for HotPageCache {
+    fn access(&mut self, req: MemAccess) -> AccessPlan {
+        AccessPlan::build(|plan| self.access_into(req, plan)).tally(&mut self.stats)
+    }
+
+    fn writeback(&mut self, addr: PhysAddr) -> AccessPlan {
+        AccessPlan::build(|plan| self.writeback_into(addr, plan)).tally(&mut self.stats)
+    }
+
+    fn warm_access(&mut self, req: MemAccess) {
+        BlockCounts::build(|counts| self.access_into(req, counts)).tally(&mut self.stats);
+    }
+
+    fn warm_writeback(&mut self, addr: PhysAddr) {
+        BlockCounts::build(|counts| self.writeback_into(addr, counts)).tally(&mut self.stats);
     }
 
     fn stats(&self) -> &DramCacheStats {

@@ -6,7 +6,7 @@
 use fc_types::{MemAccess, PhysAddr};
 
 use crate::design::{DramCacheModel, DramCacheStats, StorageItem};
-use crate::plan::{AccessPlan, MemOp, MemTarget};
+use crate::plan::{AccessPlan, BlockCounts, MemOp, MemTarget, OpSink};
 
 /// A cache that always hits with zero tag latency: the "Ideal" series of
 /// Figures 6/7 (a die-stacked main memory).
@@ -32,25 +32,37 @@ impl IdealCache {
     pub fn new() -> Self {
         Self::default()
     }
+
+    /// The demand-access transition, for either sink.
+    fn access_into(&mut self, req: MemAccess, sink: &mut impl OpSink) {
+        self.stats.accesses += 1;
+        self.stats.hits += 1;
+        sink.mark_hit();
+        sink.critical(MemOp::read(MemTarget::Stacked, req.addr.block().base(), 1));
+    }
+
+    /// The L2-writeback transition, for either sink.
+    fn writeback_into(&mut self, addr: PhysAddr, sink: &mut impl OpSink) {
+        sink.mark_hit();
+        sink.background(MemOp::write(MemTarget::Stacked, addr.block().base(), 1));
+    }
 }
 
 impl DramCacheModel for IdealCache {
     fn access(&mut self, req: MemAccess) -> AccessPlan {
-        self.stats.accesses += 1;
-        self.stats.hits += 1;
-        let mut plan = AccessPlan::tag_only(true, 0);
-        plan.critical
-            .push(MemOp::read(MemTarget::Stacked, req.addr.block().base(), 1));
-        self.stats.absorb_plan(&plan);
-        plan
+        AccessPlan::build(|plan| self.access_into(req, plan)).tally(&mut self.stats)
     }
 
     fn writeback(&mut self, addr: PhysAddr) -> AccessPlan {
-        let mut plan = AccessPlan::tag_only(true, 0);
-        plan.background
-            .push(MemOp::write(MemTarget::Stacked, addr.block().base(), 1));
-        self.stats.absorb_plan(&plan);
-        plan
+        AccessPlan::build(|plan| self.writeback_into(addr, plan)).tally(&mut self.stats)
+    }
+
+    fn warm_access(&mut self, req: MemAccess) {
+        BlockCounts::build(|counts| self.access_into(req, counts)).tally(&mut self.stats);
+    }
+
+    fn warm_writeback(&mut self, addr: PhysAddr) {
+        BlockCounts::build(|counts| self.writeback_into(addr, counts)).tally(&mut self.stats);
     }
 
     fn stats(&self) -> &DramCacheStats {
@@ -89,25 +101,35 @@ impl NoCache {
     pub fn new() -> Self {
         Self::default()
     }
+
+    /// The demand-access transition, for either sink.
+    fn access_into(&mut self, req: MemAccess, sink: &mut impl OpSink) {
+        self.stats.accesses += 1;
+        self.stats.misses += 1;
+        sink.critical(MemOp::read(MemTarget::OffChip, req.addr.block().base(), 1));
+    }
+
+    /// The L2-writeback transition, for either sink.
+    fn writeback_into(&mut self, addr: PhysAddr, sink: &mut impl OpSink) {
+        sink.background(MemOp::write(MemTarget::OffChip, addr.block().base(), 1));
+    }
 }
 
 impl DramCacheModel for NoCache {
     fn access(&mut self, req: MemAccess) -> AccessPlan {
-        self.stats.accesses += 1;
-        self.stats.misses += 1;
-        let mut plan = AccessPlan::tag_only(false, 0);
-        plan.critical
-            .push(MemOp::read(MemTarget::OffChip, req.addr.block().base(), 1));
-        self.stats.absorb_plan(&plan);
-        plan
+        AccessPlan::build(|plan| self.access_into(req, plan)).tally(&mut self.stats)
     }
 
     fn writeback(&mut self, addr: PhysAddr) -> AccessPlan {
-        let mut plan = AccessPlan::tag_only(false, 0);
-        plan.background
-            .push(MemOp::write(MemTarget::OffChip, addr.block().base(), 1));
-        self.stats.absorb_plan(&plan);
-        plan
+        AccessPlan::build(|plan| self.writeback_into(addr, plan)).tally(&mut self.stats)
+    }
+
+    fn warm_access(&mut self, req: MemAccess) {
+        BlockCounts::build(|counts| self.access_into(req, counts)).tally(&mut self.stats);
+    }
+
+    fn warm_writeback(&mut self, addr: PhysAddr) {
+        BlockCounts::build(|counts| self.writeback_into(addr, counts)).tally(&mut self.stats);
     }
 
     fn stats(&self) -> &DramCacheStats {

@@ -50,6 +50,7 @@ mod design;
 mod gemini;
 mod hotpage;
 mod ideal;
+mod metrics;
 mod missmap;
 mod page;
 mod plan;
@@ -63,14 +64,15 @@ pub use banshee::BansheeCache;
 pub use block::BlockBasedCache;
 pub use design::{
     sram_latency_cycles, BoxedModel, CloneModel, DensityHistogram, DramCacheModel, DramCacheStats,
-    PredictionCounters, StorageItem,
+    StorageItem,
 };
 pub use gemini::GeminiCache;
 pub use hotpage::HotPageCache;
 pub use ideal::{IdealCache, NoCache};
+pub use metrics::PredictionCounters;
 pub use missmap::MissMap;
 pub use page::{PageBasedCache, WritebackGranularity};
-pub use plan::{AccessPlan, MemOp, MemTarget, OpFlavor, OpList};
+pub use plan::{AccessPlan, BlockCounts, MemOp, MemTarget, OpFlavor, OpList, OpSink};
 pub use setassoc::SetAssoc;
 pub use sram::{SramCache, SramOutcome};
 pub use subblock::SubBlockCache;

@@ -11,25 +11,28 @@
 
 use serde::{Deserialize, Serialize};
 
-/// Cumulative predictor metrics.
+/// Raw footprint-prediction counters, exposed through the design trait
+/// so the simulator can report Figure 8 without depending on the
+/// concrete Footprint Cache type. The field names are the report and
+/// store JSON names.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct PredictorMetrics {
+pub struct PredictionCounters {
     /// Blocks predicted and demanded.
-    pub covered_blocks: u64,
+    pub covered: u64,
     /// Blocks fetched but never demanded before eviction.
-    pub overpredicted_blocks: u64,
+    pub overpredicted: u64,
     /// Blocks demanded but not in the prediction (each produced a miss).
-    pub underpredicted_blocks: u64,
+    pub underpredicted: u64,
     /// Pages bypassed by the singleton optimization.
     pub singleton_bypasses: u64,
     /// Singleton pages promoted to full allocations by a second access.
     pub singleton_promotions: u64,
 }
 
-impl PredictorMetrics {
+impl PredictionCounters {
     /// Total demanded blocks among evicted pages.
     pub fn demanded_blocks(&self) -> u64 {
-        self.covered_blocks + self.underpredicted_blocks
+        self.covered + self.underpredicted
     }
 
     /// Fraction of demanded blocks successfully predicted (Figure 8's
@@ -39,7 +42,7 @@ impl PredictorMetrics {
         if d == 0 {
             0.0
         } else {
-            self.covered_blocks as f64 / d as f64
+            self.covered as f64 / d as f64
         }
     }
 
@@ -49,7 +52,7 @@ impl PredictorMetrics {
         if d == 0 {
             0.0
         } else {
-            self.underpredicted_blocks as f64 / d as f64
+            self.underpredicted as f64 / d as f64
         }
     }
 
@@ -60,7 +63,7 @@ impl PredictorMetrics {
         if d == 0 {
             0.0
         } else {
-            self.overpredicted_blocks as f64 / d as f64
+            self.overpredicted as f64 / d as f64
         }
     }
 }
@@ -71,10 +74,10 @@ mod tests {
 
     #[test]
     fn rates_sum_sensibly() {
-        let m = PredictorMetrics {
-            covered_blocks: 80,
-            overpredicted_blocks: 10,
-            underpredicted_blocks: 20,
+        let m = PredictionCounters {
+            covered: 80,
+            overpredicted: 10,
+            underpredicted: 20,
             singleton_bypasses: 0,
             singleton_promotions: 0,
         };
@@ -87,7 +90,7 @@ mod tests {
 
     #[test]
     fn empty_metrics_are_zero() {
-        let m = PredictorMetrics::default();
+        let m = PredictionCounters::default();
         assert_eq!(m.coverage(), 0.0);
         assert_eq!(m.overprediction_rate(), 0.0);
     }

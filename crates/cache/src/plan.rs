@@ -8,10 +8,16 @@
 //! background ops (fills, evictions, tag updates) start concurrently and
 //! only consume bank time, bus time and energy — exactly the paper's
 //! treatment of off-critical-path traffic.
+//!
+//! A design emits that work through an [`OpSink`]: the same transition
+//! body either records an [`AccessPlan`] or only counts its blocks
+//! ([`BlockCounts`], for functional warm-up).
 
 use serde::{Deserialize, Serialize};
 
 use fc_types::{AccessKind, PhysAddr};
+
+use crate::design::DramCacheStats;
 
 /// Which DRAM a [`MemOp`] targets.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -135,16 +141,6 @@ impl OpList {
         }
         self.spill_out();
         self.spill.push(op);
-    }
-
-    /// Moves every op out of `other` onto the end of this list (the
-    /// `Vec::append` idiom designs use to merge staged eviction
-    /// traffic).
-    pub fn append(&mut self, other: &mut OpList) {
-        for &op in other.as_slice() {
-            self.push(op);
-        }
-        other.clear();
     }
 
     /// Removes all ops, keeping any spill capacity.
@@ -320,6 +316,117 @@ impl AccessPlan {
     }
 }
 
+/// Where a design's demand or writeback transition sends its outcome
+/// and its DRAM ops.
+///
+/// A design writes each transition once, as an inherent fn generic over
+/// the sink, and its [`DramCacheModel`](crate::DramCacheModel) methods
+/// only pick the sink: [`AccessPlan`] records the ops for the DRAM
+/// timing models (`access`, `writeback`), [`BlockCounts`] keeps only
+/// their block totals (`warm_access`, `warm_writeback`). Either way
+/// [`tally`](Self::tally) folds the traffic into the design's
+/// [`DramCacheStats`] once per transition.
+pub trait OpSink: Default {
+    /// Sets the SRAM lookup cycles on the critical path (tag array,
+    /// MissMap); 0 unless called.
+    fn lookup(&mut self, _tag_latency: u32) {}
+
+    /// Marks the access a DRAM-cache hit.
+    fn mark_hit(&mut self) {}
+
+    /// Marks the access a bypass: fetched off-chip, not allocated.
+    fn mark_bypass(&mut self) {}
+
+    /// Adds a serialized op that determines the request's latency.
+    fn critical(&mut self, op: MemOp);
+
+    /// Adds a concurrent op, charged to bank, bus and energy only.
+    fn background(&mut self, op: MemOp);
+
+    /// Adds the blocks of every op pushed so far to the per-(target,
+    /// kind) traffic counters of `stats`, and hands the sink back.
+    fn tally(self, stats: &mut DramCacheStats) -> Self;
+
+    /// Runs one transition `body` over a fresh sink.
+    fn build(body: impl FnOnce(&mut Self)) -> Self {
+        let mut sink = Self::default();
+        body(&mut sink);
+        sink
+    }
+}
+
+impl OpSink for AccessPlan {
+    fn lookup(&mut self, tag_latency: u32) {
+        self.tag_latency = tag_latency;
+    }
+
+    fn mark_hit(&mut self) {
+        self.hit = true;
+    }
+
+    fn mark_bypass(&mut self) {
+        self.bypass = true;
+    }
+
+    fn critical(&mut self, op: MemOp) {
+        self.critical.push(op);
+    }
+
+    fn background(&mut self, op: MemOp) {
+        self.background.push(op);
+    }
+
+    fn tally(self, stats: &mut DramCacheStats) -> Self {
+        let mut counts = BlockCounts::default();
+        for &op in self.critical.iter().chain(&self.background) {
+            counts.count(op);
+        }
+        counts.tally(stats);
+        self
+    }
+}
+
+/// The counting sink: the blocks of the ops pushed, per (target, kind),
+/// with no op stored. Functional warm-up runs a design's transitions
+/// over it.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct BlockCounts {
+    offchip_read: u64,
+    offchip_write: u64,
+    stacked_read: u64,
+    stacked_write: u64,
+}
+
+impl BlockCounts {
+    fn count(&mut self, op: MemOp) {
+        let counter = match (op.target, op.kind) {
+            (MemTarget::OffChip, AccessKind::Read) => &mut self.offchip_read,
+            (MemTarget::OffChip, AccessKind::Write) => &mut self.offchip_write,
+            (MemTarget::Stacked, AccessKind::Read) => &mut self.stacked_read,
+            (MemTarget::Stacked, AccessKind::Write) => &mut self.stacked_write,
+        };
+        *counter += op.blocks as u64;
+    }
+}
+
+impl OpSink for BlockCounts {
+    fn critical(&mut self, op: MemOp) {
+        self.count(op);
+    }
+
+    fn background(&mut self, op: MemOp) {
+        self.count(op);
+    }
+
+    fn tally(self, stats: &mut DramCacheStats) -> Self {
+        stats.offchip_read_blocks += self.offchip_read;
+        stats.offchip_write_blocks += self.offchip_write;
+        stats.stacked_read_blocks += self.stacked_read;
+        stats.stacked_write_blocks += self.stacked_write;
+        self
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -386,28 +493,5 @@ mod tests {
         assert_eq!(format!("{a:?}"), format!("{b:?}"));
         let c: OpList = ops[..2].iter().copied().collect();
         assert_ne!(a, c);
-    }
-
-    #[test]
-    fn oplist_append_drains_the_source() {
-        let mut a: OpList = vec![MemOp::read(MemTarget::OffChip, PhysAddr::new(0), 1)].into();
-        let mut b: OpList = (0..5)
-            .map(|i| MemOp::write(MemTarget::Stacked, PhysAddr::new(i * 64), 1))
-            .collect();
-        a.append(&mut b);
-        assert_eq!(a.len(), 6);
-        assert!(b.is_empty());
-        // Spilled source, inline destination and vice versa round-trip
-        // through From<Vec> identically.
-        let direct: OpList = vec![
-            MemOp::read(MemTarget::OffChip, PhysAddr::new(0), 1),
-            MemOp::write(MemTarget::Stacked, PhysAddr::new(0), 1),
-            MemOp::write(MemTarget::Stacked, PhysAddr::new(64), 1),
-            MemOp::write(MemTarget::Stacked, PhysAddr::new(128), 1),
-            MemOp::write(MemTarget::Stacked, PhysAddr::new(192), 1),
-            MemOp::write(MemTarget::Stacked, PhysAddr::new(256), 1),
-        ]
-        .into();
-        assert_eq!(a, direct);
     }
 }

@@ -7,7 +7,7 @@ use fc_types::{BlockStateVec, MemAccess, PageAddr, PageGeometry, PhysAddr};
 
 use crate::design::{sram_latency_cycles, DramCacheModel, DramCacheStats, StorageItem};
 use crate::page::PAGE_WAYS;
-use crate::plan::{AccessPlan, MemOp, MemTarget, OpList};
+use crate::plan::{AccessPlan, BlockCounts, MemOp, MemTarget, OpSink};
 use crate::setassoc::SetAssoc;
 
 /// Bits per entry: page tag + valid/dirty bit vectors (32+32) + LRU.
@@ -67,7 +67,13 @@ impl SubBlockCache {
         PhysAddr::new(slot * self.geom.page_size() as u64)
     }
 
-    fn evict(&mut self, set: usize, victim_tag: u64, states: BlockStateVec, bg: &mut OpList) {
+    fn evict(
+        &mut self,
+        set: usize,
+        victim_tag: u64,
+        states: BlockStateVec,
+        sink: &mut impl OpSink,
+    ) {
         self.stats.evictions += 1;
         self.stats.density.record(states.demanded().len());
         let dirty = states.dirty();
@@ -77,164 +83,105 @@ impl SubBlockCache {
         self.stats.dirty_evictions += 1;
         let sets = self.tags.sets() as u64;
         let victim_page = PageAddr::new(victim_tag * sets + set as u64);
-        bg.push(MemOp::read(
+        sink.background(MemOp::read(
             MemTarget::Stacked,
             self.slot_addr(set, victim_tag),
             dirty.len() as u32,
         ));
-        bg.push(MemOp::write(
+        sink.background(MemOp::write(
             MemTarget::OffChip,
             self.geom.page_base(victim_page),
             dirty.len() as u32,
         ));
     }
-}
 
-impl DramCacheModel for SubBlockCache {
-    fn access(&mut self, req: MemAccess) -> AccessPlan {
+    /// The demand-access transition, for either sink.
+    fn access_into(&mut self, req: MemAccess, sink: &mut impl OpSink) {
         self.stats.accesses += 1;
         let page = self.geom.page_of(req.addr);
         let offset = self.geom.block_offset(req.addr);
         let (set, tag) = self.decompose(page);
-        let mut plan = AccessPlan::tag_only(false, self.tag_latency);
+        sink.lookup(self.tag_latency);
 
         if let Some(states) = self.tags.get(set, tag) {
             if states.state(offset).is_present() {
                 states.demand_read(offset);
                 self.stats.hits += 1;
-                plan.hit = true;
-                plan.critical
-                    .push(MemOp::read(MemTarget::Stacked, self.slot_addr(set, tag), 1));
-                self.stats.absorb_plan(&plan);
-                return plan;
+                sink.mark_hit();
+                sink.critical(MemOp::read(MemTarget::Stacked, self.slot_addr(set, tag), 1));
+                return;
             }
             // Sub-miss: page allocated, block absent.
             states.demand_read(offset);
             self.stats.misses += 1;
-            plan.critical
-                .push(MemOp::read(MemTarget::OffChip, req.addr.block().base(), 1));
+            sink.critical(MemOp::read(MemTarget::OffChip, req.addr.block().base(), 1));
             self.stats.fill_blocks += 1;
-            plan.background.push(MemOp::write(
+            sink.background(MemOp::write(
                 MemTarget::Stacked,
                 self.slot_addr(set, tag),
                 1,
             ));
-            self.stats.absorb_plan(&plan);
-            return plan;
+            return;
         }
 
         // Page miss: allocate the tag, fetch only the demanded block.
         self.stats.misses += 1;
-        plan.critical
-            .push(MemOp::read(MemTarget::OffChip, req.addr.block().base(), 1));
+        sink.critical(MemOp::read(MemTarget::OffChip, req.addr.block().base(), 1));
         let mut states = BlockStateVec::new();
         states.demand_read(offset);
         if let Some((victim_tag, victim)) = self.tags.insert(set, tag, states) {
-            let mut bg = OpList::new();
-            self.evict(set, victim_tag, victim, &mut bg);
-            plan.background.append(&mut bg);
+            self.evict(set, victim_tag, victim, sink);
         }
         self.stats.fill_blocks += 1;
-        plan.background.push(MemOp::write(
+        sink.background(MemOp::write(
             MemTarget::Stacked,
             self.slot_addr(set, tag),
             1,
         ));
-        self.stats.absorb_plan(&plan);
-        plan
     }
 
-    fn writeback(&mut self, addr: PhysAddr) -> AccessPlan {
+    /// The L2-writeback transition, for either sink.
+    fn writeback_into(&mut self, addr: PhysAddr, sink: &mut impl OpSink) {
         let page = self.geom.page_of(addr);
         let offset = self.geom.block_offset(addr);
         let (set, tag) = self.decompose(page);
-        let mut plan = AccessPlan::tag_only(false, self.tag_latency);
+        sink.lookup(self.tag_latency);
         match self.tags.get(set, tag) {
             Some(states) if states.state(offset).is_present() => {
                 states.demand_write(offset);
-                plan.hit = true;
-                plan.background.push(MemOp::write(
+                sink.mark_hit();
+                sink.background(MemOp::write(
                     MemTarget::Stacked,
                     self.slot_addr(set, tag),
                     1,
                 ));
             }
             _ => {
-                plan.background
-                    .push(MemOp::write(MemTarget::OffChip, addr.block().base(), 1));
+                sink.background(MemOp::write(MemTarget::OffChip, addr.block().base(), 1));
             }
         }
-        self.stats.absorb_plan(&plan);
-        plan
+    }
+}
+
+impl DramCacheModel for SubBlockCache {
+    fn access(&mut self, req: MemAccess) -> AccessPlan {
+        AccessPlan::build(|plan| self.access_into(req, plan)).tally(&mut self.stats)
+    }
+
+    fn writeback(&mut self, addr: PhysAddr) -> AccessPlan {
+        AccessPlan::build(|plan| self.writeback_into(addr, plan)).tally(&mut self.stats)
+    }
+
+    fn warm_access(&mut self, req: MemAccess) {
+        BlockCounts::build(|counts| self.access_into(req, counts)).tally(&mut self.stats);
+    }
+
+    fn warm_writeback(&mut self, addr: PhysAddr) {
+        BlockCounts::build(|counts| self.writeback_into(addr, counts)).tally(&mut self.stats);
     }
 
     fn stats(&self) -> &DramCacheStats {
         &self.stats
-    }
-
-    // Warmup-only update path: the exact state transitions and
-    // statistics of `access`/`writeback` without constructing the
-    // `AccessPlan`'s op vectors (the only heap work on this design's
-    // hot path). The sampled simulator's functional mode calls these
-    // once per fast-forwarded record, so the savings compound.
-    //
-    // Invariant (enforced by `warm_path_matches_detailed_path` below):
-    // a cache driven by the warm methods is indistinguishable — tags,
-    // replacement order, block states, and every counter — from one
-    // driven by the plan-building methods.
-
-    fn warm_access(&mut self, req: MemAccess) {
-        self.stats.accesses += 1;
-        let page = self.geom.page_of(req.addr);
-        let offset = self.geom.block_offset(req.addr);
-        let (set, tag) = self.decompose(page);
-        if let Some(states) = self.tags.get(set, tag) {
-            if states.state(offset).is_present() {
-                states.demand_read(offset);
-                self.stats.hits += 1;
-                self.stats.stacked_read_blocks += 1;
-                return;
-            }
-            // Sub-miss: page allocated, block absent.
-            states.demand_read(offset);
-            self.stats.misses += 1;
-            self.stats.offchip_read_blocks += 1;
-            self.stats.fill_blocks += 1;
-            self.stats.stacked_write_blocks += 1;
-            return;
-        }
-        // Page miss: allocate the tag, fetch only the demanded block.
-        self.stats.misses += 1;
-        self.stats.offchip_read_blocks += 1;
-        let mut states = BlockStateVec::new();
-        states.demand_read(offset);
-        if let Some((_victim_tag, victim)) = self.tags.insert(set, tag, states) {
-            self.stats.evictions += 1;
-            self.stats.density.record(victim.demanded().len());
-            let dirty = victim.dirty();
-            if !dirty.is_empty() {
-                self.stats.dirty_evictions += 1;
-                self.stats.stacked_read_blocks += dirty.len() as u64;
-                self.stats.offchip_write_blocks += dirty.len() as u64;
-            }
-        }
-        self.stats.fill_blocks += 1;
-        self.stats.stacked_write_blocks += 1;
-    }
-
-    fn warm_writeback(&mut self, addr: PhysAddr) {
-        let page = self.geom.page_of(addr);
-        let offset = self.geom.block_offset(addr);
-        let (set, tag) = self.decompose(page);
-        match self.tags.get(set, tag) {
-            Some(states) if states.state(offset).is_present() => {
-                states.demand_write(offset);
-                self.stats.stacked_write_blocks += 1;
-            }
-            _ => {
-                self.stats.offchip_write_blocks += 1;
-            }
-        }
     }
 
     fn storage(&self) -> Vec<StorageItem> {
@@ -301,39 +248,6 @@ mod tests {
         }
         assert_eq!(c.stats().dirty_evictions, 1);
         assert_eq!(c.stats().offchip_write_blocks, 1);
-    }
-
-    #[test]
-    fn warm_path_matches_detailed_path() {
-        // The warmup-only update path must leave the cache — tags,
-        // replacement order, block states, and every statistic —
-        // exactly where the plan-building path would.
-        let mut detailed = cache();
-        let mut warm = cache();
-        // A mixed stream with reuse, sub-misses, conflict evictions
-        // and dirty pages (addresses stride the set index).
-        let mut addr = 0x40u64;
-        for i in 0..4_000u64 {
-            addr = addr
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            let a = (addr >> 16) % (64 << 20);
-            if i % 3 == 0 {
-                let _ = detailed.writeback(PhysAddr::new(a));
-                warm.warm_writeback(PhysAddr::new(a));
-            } else {
-                let req = MemAccess::read(Pc::new(0x400), PhysAddr::new(a), 0);
-                let _ = detailed.access(req);
-                warm.warm_access(req);
-            }
-        }
-        assert_eq!(detailed.stats(), warm.stats());
-        // Replacement state must agree too: the same probe stream
-        // produces identical plans afterwards.
-        for probe in (0..64u64).map(|i| i * 0x10040) {
-            let req = MemAccess::read(Pc::new(0x400), PhysAddr::new(probe), 0);
-            assert_eq!(detailed.access(req), warm.access(req));
-        }
     }
 
     #[test]

@@ -19,14 +19,13 @@
 //! demanded vector trains the FHT and the prediction quality metrics.
 
 use fc_cache::{
-    sram_latency_cycles, AccessPlan, DramCacheModel, DramCacheStats, MemOp, MemTarget, OpList,
-    SetAssoc, StorageItem,
+    sram_latency_cycles, AccessPlan, BlockCounts, DramCacheModel, DramCacheStats, MemOp, MemTarget,
+    OpSink, PredictionCounters, SetAssoc, StorageItem,
 };
 use fc_types::{BlockStateVec, Footprint, MemAccess, PageAddr, PhysAddr};
 
 use crate::config::FootprintCacheConfig;
 use crate::fht::Fht;
-use crate::metrics::PredictorMetrics;
 use crate::singleton::SingletonTable;
 
 /// Bits per tag entry: page tag, page-valid, LRU, the two 32-bit
@@ -85,7 +84,7 @@ pub struct FootprintCache {
     st: SingletonTable,
     tag_latency: u32,
     stats: DramCacheStats,
-    metrics: PredictorMetrics,
+    predictions: PredictionCounters,
 }
 
 impl FootprintCache {
@@ -108,7 +107,7 @@ impl FootprintCache {
             st: SingletonTable::new(config.st_entries),
             tag_latency: sram_latency_cycles(tag_bytes),
             stats: DramCacheStats::default(),
-            metrics: PredictorMetrics::default(),
+            predictions: PredictionCounters::default(),
             config,
         }
     }
@@ -118,9 +117,11 @@ impl FootprintCache {
         &self.config
     }
 
-    /// Predictor quality counters (Figure 8).
-    pub fn metrics(&self) -> &PredictorMetrics {
-        &self.metrics
+    /// Predictor quality counters (Figure 8); the same counters
+    /// [`prediction_counters`](DramCacheModel::prediction_counters)
+    /// reports.
+    pub fn metrics(&self) -> &PredictionCounters {
+        &self.predictions
     }
 
     /// Read access to the FHT (diagnostics and examples).
@@ -142,16 +143,17 @@ impl FootprintCache {
 
     /// Processes a victim page: density accounting, FHT feedback,
     /// prediction metrics, dirty writeback traffic.
-    fn evict(&mut self, set: usize, victim_tag: u64, entry: PageEntry, bg: &mut OpList) {
+    fn evict(&mut self, set: usize, victim_tag: u64, entry: PageEntry, sink: &mut impl OpSink) {
         self.stats.evictions += 1;
         let demanded = entry.states.demanded();
         self.stats.density.record(demanded.len());
 
         // Feedback: the demanded vector is the page's generated footprint.
         self.fht.train(entry.fht_key, demanded);
-        self.metrics.covered_blocks += entry.predicted.intersection(demanded).len() as u64;
-        self.metrics.overpredicted_blocks += entry.predicted.difference(demanded).len() as u64;
-        self.metrics.underpredicted_blocks += demanded.difference(entry.predicted).len() as u64;
+        let p = &mut self.predictions;
+        p.covered += entry.predicted.intersection(demanded).len() as u64;
+        p.overpredicted += entry.predicted.difference(demanded).len() as u64;
+        p.underpredicted += demanded.difference(entry.predicted).len() as u64;
 
         let dirty = entry.states.dirty();
         if dirty.is_empty() {
@@ -160,12 +162,12 @@ impl FootprintCache {
         self.stats.dirty_evictions += 1;
         let sets = self.tags.sets() as u64;
         let victim_page = PageAddr::new(victim_tag * sets + set as u64);
-        bg.push(MemOp::read(
+        sink.background(MemOp::read(
             MemTarget::Stacked,
             self.slot_addr(set, victim_tag),
             dirty.len() as u32,
         ));
-        bg.push(MemOp::write(
+        sink.background(MemOp::write(
             MemTarget::OffChip,
             self.config.geom.page_base(victim_page),
             dirty.len() as u32,
@@ -173,26 +175,26 @@ impl FootprintCache {
     }
 
     /// Allocates `page` fetching `predicted`, with `offset` as the
-    /// demanded block, and appends the fetch/fill/evict ops to `plan`.
+    /// demanded block, and emits the fetch/fill/evict ops.
     fn allocate(
         &mut self,
         page: PageAddr,
         offset: usize,
         predicted: Footprint,
         fht_key: u64,
-        plan: &mut AccessPlan,
+        sink: &mut impl OpSink,
     ) {
         let (set, tag) = self.decompose(page);
         let blocks = predicted.len() as u32;
 
         // One off-chip row activation streams the whole footprint,
         // demanded block first (critical-block-first).
-        plan.critical.push(MemOp::read(
+        sink.critical(MemOp::read(
             MemTarget::OffChip,
             self.config.geom.page_base(page),
             blocks,
         ));
-        plan.background.push(MemOp::write(
+        sink.background(MemOp::write(
             MemTarget::Stacked,
             self.slot_addr(set, tag),
             blocks,
@@ -210,59 +212,13 @@ impl FootprintCache {
             fht_key,
         };
         if let Some((victim_tag, victim)) = self.tags.insert(set, tag, entry) {
-            let mut bg = OpList::new();
-            self.evict(set, victim_tag, victim, &mut bg);
-            plan.background.append(&mut bg);
-        }
-    }
-
-    /// Warm-path twin of [`evict`](Self::evict): identical state
-    /// transitions, feedback, and statistics, no op vectors.
-    fn warm_evict(&mut self, entry: PageEntry) {
-        self.stats.evictions += 1;
-        let demanded = entry.states.demanded();
-        self.stats.density.record(demanded.len());
-
-        self.fht.train(entry.fht_key, demanded);
-        self.metrics.covered_blocks += entry.predicted.intersection(demanded).len() as u64;
-        self.metrics.overpredicted_blocks += entry.predicted.difference(demanded).len() as u64;
-        self.metrics.underpredicted_blocks += demanded.difference(entry.predicted).len() as u64;
-
-        let dirty = entry.states.dirty();
-        if dirty.is_empty() {
-            return;
-        }
-        self.stats.dirty_evictions += 1;
-        self.stats.stacked_read_blocks += dirty.len() as u64;
-        self.stats.offchip_write_blocks += dirty.len() as u64;
-    }
-
-    /// Warm-path twin of [`allocate`](Self::allocate): identical tag,
-    /// predictor, and counter updates, no op vectors.
-    fn warm_allocate(&mut self, page: PageAddr, offset: usize, predicted: Footprint, fht_key: u64) {
-        let (set, tag) = self.decompose(page);
-        let blocks = predicted.len() as u64;
-        self.stats.offchip_read_blocks += blocks;
-        self.stats.stacked_write_blocks += blocks;
-        self.stats.fill_blocks += blocks;
-
-        let mut states = BlockStateVec::new();
-        for b in predicted.iter() {
-            states.fill_prefetched(b);
-        }
-        states.demand_read(offset);
-        let entry = PageEntry {
-            states,
-            predicted,
-            fht_key,
-        };
-        if let Some((_victim_tag, victim)) = self.tags.insert(set, tag, entry) {
-            self.warm_evict(victim);
+            self.evict(set, victim_tag, victim, sink);
         }
     }
 
     /// Evicts every cached page, emitting FHT feedback (useful for tests
     /// and for phase-boundary experiments; not a hardware operation).
+    /// Flush traffic is counted like any other eviction traffic.
     pub fn flush(&mut self) {
         let sets = self.tags.sets();
         let mut victims = Vec::new();
@@ -271,53 +227,46 @@ impl FootprintCache {
                 victims.push((set, tag));
             }
         }
-        let mut bg = OpList::new();
-        for (set, tag) in victims {
-            if let Some(entry) = self.tags.remove(set, tag) {
-                self.evict(set, tag, entry, &mut bg);
+        BlockCounts::build(|counts| {
+            for (set, tag) in victims {
+                if let Some(entry) = self.tags.remove(set, tag) {
+                    self.evict(set, tag, entry, counts);
+                }
             }
-        }
-        // Flush traffic is accounted like any other eviction traffic.
-        let mut plan = AccessPlan::tag_only(false, 0);
-        plan.background = bg;
-        self.stats.absorb_plan(&plan);
+        })
+        .tally(&mut self.stats);
     }
-}
 
-impl DramCacheModel for FootprintCache {
-    fn access(&mut self, req: MemAccess) -> AccessPlan {
+    /// The demand-access transition, for either sink.
+    fn access_into(&mut self, req: MemAccess, sink: &mut impl OpSink) {
         self.stats.accesses += 1;
         let geom = self.config.geom;
         let page = geom.page_of(req.addr);
         let offset = geom.block_offset(req.addr);
         let (set, tag) = self.decompose(page);
-        let mut plan = AccessPlan::tag_only(false, self.tag_latency);
+        sink.lookup(self.tag_latency);
 
         if let Some(entry) = self.tags.get(set, tag) {
             if entry.states.state(offset).is_present() {
                 // Block hit in the stacked DRAM.
                 entry.states.demand_read(offset);
                 self.stats.hits += 1;
-                plan.hit = true;
-                plan.critical
-                    .push(MemOp::read(MemTarget::Stacked, self.slot_addr(set, tag), 1));
-                self.stats.absorb_plan(&plan);
-                return plan;
+                sink.mark_hit();
+                sink.critical(MemOp::read(MemTarget::Stacked, self.slot_addr(set, tag), 1));
+                return;
             }
             // Underprediction: page resident, block not fetched — a miss
             // at full off-chip latency (Section 3.1).
             entry.states.demand_read(offset);
             self.stats.misses += 1;
-            plan.critical
-                .push(MemOp::read(MemTarget::OffChip, req.addr.block().base(), 1));
+            sink.critical(MemOp::read(MemTarget::OffChip, req.addr.block().base(), 1));
             self.stats.fill_blocks += 1;
-            plan.background.push(MemOp::write(
+            sink.background(MemOp::write(
                 MemTarget::Stacked,
                 self.slot_addr(set, tag),
                 1,
             ));
-            self.stats.absorb_plan(&plan);
-            return plan;
+            return;
         }
 
         // Page miss (triggering miss).
@@ -328,23 +277,21 @@ impl DramCacheModel for FootprintCache {
         if let Some(st_entry) = self.st.take(page) {
             // Promote: allocate with both known blocks and correct the
             // FHT entry created by the original classification.
-            self.metrics.singleton_promotions += 1;
+            self.predictions.singleton_promotions += 1;
             let mut predicted = Footprint::singleton(st_entry.offset as usize);
             predicted.insert(offset);
             self.fht.train(st_entry.key, predicted);
-            self.allocate(page, offset, predicted, st_entry.key, &mut plan);
-            self.stats.absorb_plan(&plan);
-            return plan;
+            self.allocate(page, offset, predicted, st_entry.key, sink);
+            return;
         }
 
         match self.fht.predict(key) {
             Some(fp) if self.config.singleton_optimization && fp.is_singleton() => {
                 // Singleton page: forward the block, allocate nothing.
-                self.metrics.singleton_bypasses += 1;
+                self.predictions.singleton_bypasses += 1;
                 self.stats.bypasses += 1;
-                plan.bypass = true;
-                plan.critical
-                    .push(MemOp::read(MemTarget::OffChip, req.addr.block().base(), 1));
+                sink.mark_bypass();
+                sink.critical(MemOp::read(MemTarget::OffChip, req.addr.block().base(), 1));
                 self.st.record(page, key, offset as u8);
             }
             Some(fp) => {
@@ -352,29 +299,28 @@ impl DramCacheModel for FootprintCache {
                 // demanded block).
                 let mut predicted = fp;
                 predicted.insert(offset);
-                self.allocate(page, offset, predicted, key, &mut plan);
+                self.allocate(page, offset, predicted, key, sink);
             }
             None => {
                 // No history: fetch the demanded block only; the eviction
                 // feedback will create the FHT entry.
-                self.allocate(page, offset, Footprint::singleton(offset), key, &mut plan);
+                self.allocate(page, offset, Footprint::singleton(offset), key, sink);
             }
         }
-        self.stats.absorb_plan(&plan);
-        plan
     }
 
-    fn writeback(&mut self, addr: PhysAddr) -> AccessPlan {
+    /// The L2-writeback transition, for either sink.
+    fn writeback_into(&mut self, addr: PhysAddr, sink: &mut impl OpSink) {
         let geom = self.config.geom;
         let page = geom.page_of(addr);
         let offset = geom.block_offset(addr);
         let (set, tag) = self.decompose(page);
-        let mut plan = AccessPlan::tag_only(false, self.tag_latency);
+        sink.lookup(self.tag_latency);
         match self.tags.get(set, tag) {
             Some(entry) if entry.states.state(offset).is_present() => {
                 entry.states.demand_write(offset);
-                plan.hit = true;
-                plan.background.push(MemOp::write(
+                sink.mark_hit();
+                sink.background(MemOp::write(
                     MemTarget::Stacked,
                     self.slot_addr(set, tag),
                     1,
@@ -383,96 +329,31 @@ impl DramCacheModel for FootprintCache {
             _ => {
                 // Not resident: write through to memory; evictions from
                 // the upper hierarchy are not tracked (Section 7).
-                plan.background
-                    .push(MemOp::write(MemTarget::OffChip, addr.block().base(), 1));
+                sink.background(MemOp::write(MemTarget::OffChip, addr.block().base(), 1));
             }
         }
-        self.stats.absorb_plan(&plan);
-        plan
+    }
+}
+
+impl DramCacheModel for FootprintCache {
+    fn access(&mut self, req: MemAccess) -> AccessPlan {
+        AccessPlan::build(|plan| self.access_into(req, plan)).tally(&mut self.stats)
+    }
+
+    fn writeback(&mut self, addr: PhysAddr) -> AccessPlan {
+        AccessPlan::build(|plan| self.writeback_into(addr, plan)).tally(&mut self.stats)
+    }
+
+    fn warm_access(&mut self, req: MemAccess) {
+        BlockCounts::build(|counts| self.access_into(req, counts)).tally(&mut self.stats);
+    }
+
+    fn warm_writeback(&mut self, addr: PhysAddr) {
+        BlockCounts::build(|counts| self.writeback_into(addr, counts)).tally(&mut self.stats);
     }
 
     fn stats(&self) -> &DramCacheStats {
         &self.stats
-    }
-
-    // Warmup-only update path: the exact state transitions and
-    // statistics of `access`/`writeback` — tags, FHT, Singleton Table,
-    // prediction metrics — without constructing the `AccessPlan`'s op
-    // vectors. The sampled simulator's functional mode calls these
-    // once per fast-forwarded record, so the savings compound.
-    //
-    // Invariant (enforced by `warm_path_matches_detailed_path` below):
-    // a cache driven by the warm methods is indistinguishable from one
-    // driven by the plan-building methods.
-
-    fn warm_access(&mut self, req: MemAccess) {
-        self.stats.accesses += 1;
-        let geom = self.config.geom;
-        let page = geom.page_of(req.addr);
-        let offset = geom.block_offset(req.addr);
-        let (set, tag) = self.decompose(page);
-
-        if let Some(entry) = self.tags.get(set, tag) {
-            if entry.states.state(offset).is_present() {
-                entry.states.demand_read(offset);
-                self.stats.hits += 1;
-                self.stats.stacked_read_blocks += 1;
-                return;
-            }
-            // Underprediction: page resident, block not fetched.
-            entry.states.demand_read(offset);
-            self.stats.misses += 1;
-            self.stats.offchip_read_blocks += 1;
-            self.stats.fill_blocks += 1;
-            self.stats.stacked_write_blocks += 1;
-            return;
-        }
-
-        // Page miss (triggering miss).
-        self.stats.misses += 1;
-        let key = self.config.key_kind.key(req.pc.raw(), offset);
-
-        if let Some(st_entry) = self.st.take(page) {
-            self.metrics.singleton_promotions += 1;
-            let mut predicted = Footprint::singleton(st_entry.offset as usize);
-            predicted.insert(offset);
-            self.fht.train(st_entry.key, predicted);
-            self.warm_allocate(page, offset, predicted, st_entry.key);
-            return;
-        }
-
-        match self.fht.predict(key) {
-            Some(fp) if self.config.singleton_optimization && fp.is_singleton() => {
-                self.metrics.singleton_bypasses += 1;
-                self.stats.bypasses += 1;
-                self.stats.offchip_read_blocks += 1;
-                self.st.record(page, key, offset as u8);
-            }
-            Some(fp) => {
-                let mut predicted = fp;
-                predicted.insert(offset);
-                self.warm_allocate(page, offset, predicted, key);
-            }
-            None => {
-                self.warm_allocate(page, offset, Footprint::singleton(offset), key);
-            }
-        }
-    }
-
-    fn warm_writeback(&mut self, addr: PhysAddr) {
-        let geom = self.config.geom;
-        let page = geom.page_of(addr);
-        let offset = geom.block_offset(addr);
-        let (set, tag) = self.decompose(page);
-        match self.tags.get(set, tag) {
-            Some(entry) if entry.states.state(offset).is_present() => {
-                entry.states.demand_write(offset);
-                self.stats.stacked_write_blocks += 1;
-            }
-            _ => {
-                self.stats.offchip_write_blocks += 1;
-            }
-        }
     }
 
     fn storage(&self) -> Vec<StorageItem> {
@@ -500,14 +381,8 @@ impl DramCacheModel for FootprintCache {
         "Footprint"
     }
 
-    fn prediction_counters(&self) -> Option<fc_cache::PredictionCounters> {
-        Some(fc_cache::PredictionCounters {
-            covered: self.metrics.covered_blocks,
-            overpredicted: self.metrics.overpredicted_blocks,
-            underpredicted: self.metrics.underpredicted_blocks,
-            singleton_bypasses: self.metrics.singleton_bypasses,
-            singleton_promotions: self.metrics.singleton_promotions,
-        })
+    fn prediction_counters(&self) -> Option<PredictionCounters> {
+        Some(self.predictions)
     }
 }
 
@@ -562,8 +437,8 @@ mod tests {
         assert_eq!(plan.offchip_read_blocks(), 1);
         // After eviction, the metrics record one underprediction.
         c.flush();
-        assert_eq!(c.metrics().underpredicted_blocks, 1);
-        assert_eq!(c.metrics().covered_blocks, 1);
+        assert_eq!(c.metrics().underpredicted, 1);
+        assert_eq!(c.metrics().covered, 1);
     }
 
     #[test]
@@ -578,7 +453,7 @@ mod tests {
         // New page: footprint {0,1,2} fetched but only block 0 demanded.
         c.access(read(pc, 200 * PAGE));
         c.flush();
-        assert_eq!(c.metrics().overpredicted_blocks, 2);
+        assert_eq!(c.metrics().overpredicted, 2);
     }
 
     #[test]
@@ -664,41 +539,6 @@ mod tests {
         }
         c.flush();
         assert_eq!(c.stats().density.bins()[2], 1); // 5 blocks -> 4-7 bin
-    }
-
-    #[test]
-    fn warm_path_matches_detailed_path() {
-        // The warmup-only update path must leave the cache — tags,
-        // replacement order, FHT, Singleton Table, and every
-        // statistic — exactly where the plan-building path would.
-        let mut detailed = small();
-        let mut warm = small();
-        // A mixed stream with reuse, a few hot PCs (so the FHT learns
-        // and predicts), conflict evictions and dirty pages.
-        let mut addr = 0x40u64;
-        for i in 0..4_000u64 {
-            addr = addr
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            let a = (addr >> 16) % (64 << 20);
-            let pc = 0x400 + (addr % 7) * 4;
-            if i % 3 == 0 {
-                let _ = detailed.writeback(PhysAddr::new(a));
-                warm.warm_writeback(PhysAddr::new(a));
-            } else {
-                let req = read(pc, a);
-                let _ = detailed.access(req);
-                warm.warm_access(req);
-            }
-        }
-        assert_eq!(detailed.stats(), warm.stats());
-        assert_eq!(detailed.metrics(), warm.metrics());
-        // Replacement and predictor state must agree too: the same
-        // probe stream produces identical plans afterwards.
-        for probe in (0..64u64).map(|i| i * 0x10040) {
-            let req = read(0x400, probe);
-            assert_eq!(detailed.access(req), warm.access(req));
-        }
     }
 
     #[test]

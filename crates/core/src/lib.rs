@@ -56,13 +56,11 @@
 mod cache;
 mod config;
 mod fht;
-mod metrics;
 mod singleton;
 
 pub use cache::FootprintCache;
 pub use config::{FootprintCacheConfig, KeyKind};
 pub use fht::Fht;
-pub use metrics::PredictorMetrics;
 pub use singleton::{SingletonEntry, SingletonTable};
 
 /// SplitMix64 finalizer used to spread prediction keys across table sets.

@@ -65,11 +65,7 @@ fn main() {
     let m = cache.metrics();
     println!(
         "\npredictor metrics: covered={} under={} over={} bypasses={} promotions={}",
-        m.covered_blocks,
-        m.underpredicted_blocks,
-        m.overpredicted_blocks,
-        m.singleton_bypasses,
-        m.singleton_promotions
+        m.covered, m.underpredicted, m.overpredicted, m.singleton_bypasses, m.singleton_promotions
     );
 
     println!("\n— key ablation: PC-only key conflates differently-aligned pages —");

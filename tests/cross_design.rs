@@ -143,9 +143,8 @@ fn footprint_predictor_accuracy_is_high() {
     // stable, structured workloads.
     let r = run(DesignSpec::footprint(MB), WorkloadKind::WebSearch);
     let p = r.prediction.expect("counters");
-    let demanded = (p.covered + p.underpredicted).max(1) as f64;
-    let coverage = p.covered as f64 / demanded;
-    let over = p.overpredicted as f64 / demanded;
+    let coverage = p.coverage();
+    let over = p.overprediction_rate();
     assert!(coverage > 0.80, "coverage too low: {coverage:.3}");
     assert!(over < 0.30, "overprediction too high: {over:.3}");
 }
@@ -156,10 +155,7 @@ fn sat_solver_drift_degrades_prediction() {
     // coverage must be visibly worse than on the stable Web Search.
     let stable = run(DesignSpec::footprint(MB), WorkloadKind::WebSearch);
     let drift = run(DesignSpec::footprint(MB), WorkloadKind::SatSolver);
-    let cov = |r: &SimReport| {
-        let p = r.prediction.expect("counters");
-        p.covered as f64 / (p.covered + p.underpredicted).max(1) as f64
-    };
+    let cov = |r: &SimReport| r.prediction.expect("counters").coverage();
     assert!(
         cov(&drift) < cov(&stable),
         "drift ({:.3}) should reduce coverage vs stable ({:.3})",

@@ -224,7 +224,7 @@ proptest! {
         a.flush();
         let m = *a.metrics();
         // Every eviction's demanded vector splits exactly.
-        prop_assert_eq!(m.demanded_blocks(), m.covered_blocks + m.underpredicted_blocks);
+        prop_assert_eq!(m.demanded_blocks(), m.covered + m.underpredicted);
 
         let mut b = FootprintCache::new(FootprintCacheConfig::new(1 << 20));
         apply(&mut b, &ops);
