@@ -42,15 +42,29 @@ fn access_of(&(page, offset, pc, write, _): &Op) -> MemAccess {
     }
 }
 
-fn apply(design: &mut dyn DramCacheModel, ops: &[Op]) {
+/// Drives `ops` through `access`/`writeback` and returns the plans'
+/// total blocks: off-chip read, off-chip write, stacked read, stacked
+/// write.
+fn apply(design: &mut dyn DramCacheModel, ops: &[Op]) -> [u64; 4] {
+    let mut traffic = [0; 4];
     for op in ops {
         let req = access_of(op);
-        if op.4 {
-            design.writeback(req.addr);
+        let plan = if op.4 {
+            design.writeback(req.addr)
         } else {
-            design.access(req);
+            design.access(req)
+        };
+        let blocks = [
+            plan.offchip_read_blocks(),
+            plan.offchip_write_blocks(),
+            plan.stacked_read_blocks(),
+            plan.stacked_write_blocks(),
+        ];
+        for (total, n) in traffic.iter_mut().zip(blocks) {
+            *total += n;
         }
     }
+    traffic
 }
 
 /// [`apply`] through the functional-warm-up entry points.
@@ -182,9 +196,10 @@ proptest! {
     /// `warm_writeback` ends with the same counters and prediction
     /// counters as one driven through `access` / `writeback`, and the
     /// same tag, replacement and predictor state (equal plans for a
-    /// fixed probe stream afterwards). Page at both writeback
-    /// granularities, Sub-blocked and Footprint evict dirty pages here,
-    /// and Footprint trains, bypasses and promotes.
+    /// fixed probe stream afterwards). The shared traffic counters equal
+    /// the detailed plans' blocks. Page at both writeback granularities,
+    /// Sub-blocked and Footprint evict dirty pages here, and Footprint
+    /// trains, bypasses and promotes.
     #[test]
     fn warm_path_matches_detailed_path(ops in ops_strategy(PAGES)) {
         let probes: Vec<Op> = (0..64u64)
@@ -192,9 +207,15 @@ proptest! {
             .collect();
         for mut detailed in designs() {
             let mut warmed = detailed.clone();
-            apply(detailed.as_mut(), &ops);
+            let traffic = apply(detailed.as_mut(), &ops);
             warm(warmed.as_mut(), &ops);
             let name = detailed.name();
+            let s = detailed.stats();
+            prop_assert_eq!(
+                traffic,
+                [s.offchip_read_blocks, s.offchip_write_blocks, s.stacked_read_blocks, s.stacked_write_blocks],
+                "{}: traffic counters differ from the plans", name
+            );
             prop_assert_eq!(detailed.stats(), warmed.stats(), "{}: stats differ", name);
             prop_assert_eq!(
                 detailed.prediction_counters(),
