@@ -297,7 +297,7 @@ mod tests {
             stats: DramCacheStats::default(),
         };
         // Region 0 holds blocks 0..6, all but block 3 dirty: five dirty
-        // blocks stage ten ops, past `OpList`'s inline capacity.
+        // blocks emit ten ops, past `OpList`'s inline capacity.
         for b in 0..6u64 {
             c.access(read(b * 64));
         }

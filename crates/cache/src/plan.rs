@@ -143,12 +143,6 @@ impl OpList {
         self.spill.push(op);
     }
 
-    /// Removes all ops, keeping any spill capacity.
-    pub fn clear(&mut self) {
-        self.len = 0;
-        self.spill.clear();
-    }
-
     /// Number of ops.
     pub fn len(&self) -> usize {
         if self.spill.is_empty() {
@@ -389,7 +383,7 @@ impl OpSink for AccessPlan {
 /// The counting sink: the blocks of the ops pushed, per (target, kind),
 /// with no op stored. Functional warm-up runs a design's transitions
 /// over it.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, Default)]
 pub struct BlockCounts {
     offchip_read: u64,
     offchip_write: u64,
