@@ -542,6 +542,41 @@ mod tests {
     }
 
     #[test]
+    fn warm_path_matches_detailed_path() {
+        // The warmup-only update path must leave the cache — tags,
+        // replacement order, FHT, Singleton Table, and every
+        // statistic — exactly where the plan-building path would.
+        let mut detailed = small();
+        let mut warm = small();
+        // A mixed stream with reuse, a few hot PCs (so the FHT learns
+        // and predicts), conflict evictions and dirty pages.
+        let mut addr = 0x40u64;
+        for i in 0..4_000u64 {
+            addr = addr
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            let a = (addr >> 16) % (64 << 20);
+            let pc = 0x400 + (addr % 7) * 4;
+            if i % 3 == 0 {
+                let _ = detailed.writeback(PhysAddr::new(a));
+                warm.warm_writeback(PhysAddr::new(a));
+            } else {
+                let req = read(pc, a);
+                let _ = detailed.access(req);
+                warm.warm_access(req);
+            }
+        }
+        assert_eq!(detailed.stats(), warm.stats());
+        assert_eq!(detailed.metrics(), warm.metrics());
+        // Replacement and predictor state must agree too: the same
+        // probe stream produces identical plans afterwards.
+        for probe in (0..64u64).map(|i| i * 0x10040) {
+            let req = read(0x400, probe);
+            assert_eq!(detailed.access(req), warm.access(req));
+        }
+    }
+
+    #[test]
     fn storage_matches_table4() {
         // 64 MB: 0.40 MB tags, 4-cycle latency (Table 4).
         let c = FootprintCache::new(FootprintCacheConfig::new(64 << 20));
