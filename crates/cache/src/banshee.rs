@@ -16,7 +16,7 @@ use fc_types::{Footprint, MemAccess, PageAddr, PageGeometry, PhysAddr};
 use crate::design::{sram_latency_cycles, DramCacheModel, DramCacheStats, StorageItem};
 use crate::page::PAGE_WAYS;
 use crate::plan::{AccessPlan, BlockCounts, MemOp, MemTarget, OpSink};
-use crate::setassoc::SetAssoc;
+use crate::setassoc::{Probe, SetAssoc};
 
 /// Bits per page tag entry (tag + valid + LRU + 8-bit frequency).
 const TAG_ENTRY_BITS: u64 = 64;
@@ -110,15 +110,12 @@ impl BansheeCache {
     /// new frequency.
     fn observe_candidate(&mut self, page: PageAddr) -> u32 {
         let (cset, ctag) = self.candidate_slot(page);
-        match self.candidates.get(cset, ctag) {
-            Some(count) => {
+        match self.candidates.probe(cset, ctag, 1) {
+            Probe::Hit(count) => {
                 *count = (*count + 1).min(FREQ_MAX);
                 *count
             }
-            None => {
-                self.candidates.insert(cset, ctag, 1);
-                1
-            }
+            Probe::Miss(_) => 1,
         }
     }
 
@@ -146,8 +143,9 @@ impl BansheeCache {
         ));
     }
 
-    /// Fills `page` into `(set, tag)` with starting frequency `freq`,
-    /// evicting the frequency-based victim if the set is full.
+    /// Fills `page` into `(set, tag)`, which a tag lookup just missed, with
+    /// starting frequency `freq`, evicting the LRU victim if the set is
+    /// full.
     fn fill(
         &mut self,
         page: PageAddr,
@@ -168,7 +166,7 @@ impl BansheeCache {
             ..PageInfo::default()
         };
         info.touched.insert(offset);
-        if let Some((victim_tag, victim)) = self.tags.insert(set, tag, info) {
+        if let Some((victim_tag, victim)) = self.tags.fill(set, tag, info) {
             self.evict(set, victim_tag, victim, sink);
         }
         // The candidate counter's job is done: the page is resident.

@@ -100,7 +100,8 @@ impl BlockBasedCache {
         let (set, tag) = self.decompose(block);
         sink.lookup(self.missmap.latency_cycles());
 
-        if self.missmap.contains(block) && self.tags.get(set, tag).is_some() {
+        let found = self.missmap.lookup(block);
+        if found.present && self.tags.get(set, tag).is_some() {
             // Hit: compound in-DRAM tag + data access. Demand accesses
             // always *read* the block into the L2 (write-allocate);
             // dirtying happens later through writebacks.
@@ -119,8 +120,9 @@ impl BlockBasedCache {
         sink.critical(MemOp::read(MemTarget::OffChip, block.base(), 1));
 
         // Fill the block into its set (write-allocate), evicting the LRU
-        // victim of the set if full.
-        if let Some((victim_tag, dirty)) = self.tags.insert(set, tag, false) {
+        // victim of the set if full. The MissMap marks every block in the
+        // tag array present, so a block it does not mark is absent there.
+        if let Some((victim_tag, dirty)) = self.tags.fill(set, tag, false) {
             self.stats.evictions += 1;
             let victim = self.block_of(set, victim_tag);
             if dirty {
@@ -138,8 +140,11 @@ impl BlockBasedCache {
         ));
 
         // Update the MissMap; a displaced region forces eviction of all
-        // its cached blocks — each in a different set, hence row.
-        if let Some(region) = self.missmap.set_present(block) {
+        // its cached blocks — each in a different set, hence row. Since
+        // the lookup, the victim's `clear_present` may have touched the
+        // MissMap but inserted or removed nothing, so the lookup's way
+        // still holds (or still lacks) this block's region.
+        if let Some(region) = self.missmap.set_present_at(found) {
             for offset in region.present.iter() {
                 let b = BlockAddr::new(region.base.raw() + offset as u64);
                 self.evict_block(b, sink);
@@ -214,6 +219,17 @@ mod tests {
 
     fn small() -> BlockBasedCache {
         BlockBasedCache::new(1 << 20) // 512 rows
+    }
+
+    /// At 64 MB the tag array (32,768 sets x 30 ways) and the MissMap
+    /// (192K entries) stay compact: one tag word and one rank byte per
+    /// way, plus the value. With 24-32 byte `Option` slots per way they
+    /// took 29.9 MB, and building one dominated a tiny fresh point.
+    #[test]
+    fn tag_array_and_missmap_stay_compact_at_64mb() {
+        let c = BlockBasedCache::new(64 << 20);
+        let bytes = c.tags.heap_bytes() + c.missmap.heap_bytes();
+        assert!(bytes < 14 << 20, "{bytes} bytes");
     }
 
     #[test]

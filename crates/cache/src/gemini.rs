@@ -16,7 +16,7 @@ use fc_types::{Footprint, MemAccess, PageAddr, PageGeometry, PhysAddr};
 use crate::design::{sram_latency_cycles, DramCacheModel, DramCacheStats, StorageItem};
 use crate::page::PAGE_WAYS;
 use crate::plan::{AccessPlan, BlockCounts, MemOp, MemTarget, OpSink};
-use crate::setassoc::SetAssoc;
+use crate::setassoc::{Probe, SetAssoc};
 
 /// Bits per page tag entry (tag + valid + LRU + hit counter).
 const TAG_ENTRY_BITS: u64 = 64;
@@ -201,21 +201,27 @@ impl GeminiCache {
 
         let (set, tag) = self.cold_slot(page);
         sink.lookup(self.cold_latency);
-        if let Some(info) = self.cold.get(set, tag) {
-            info.touched.insert(offset);
-            info.hits += 1;
-            let promote = info.hits >= self.promote_hits;
-            self.stats.hits += 1;
-            sink.mark_hit();
-            sink.critical(MemOp::read(MemTarget::Stacked, self.cold_addr(set, tag), 1));
-            if promote {
-                let info = self.cold.remove(set, tag).expect("entry just hit");
-                self.promote(page, info, sink);
+        // A miss in both regions installs the page set-associatively, so
+        // one probe looks up and fills.
+        let mut fill = PageInfo::default();
+        fill.touched.insert(offset);
+        let evicted = match self.cold.probe(set, tag, fill) {
+            Probe::Hit(info) => {
+                info.touched.insert(offset);
+                info.hits += 1;
+                let promote = info.hits >= self.promote_hits;
+                self.stats.hits += 1;
+                sink.mark_hit();
+                sink.critical(MemOp::read(MemTarget::Stacked, self.cold_addr(set, tag), 1));
+                if promote {
+                    let info = self.cold.remove(set, tag).expect("entry just hit");
+                    self.promote(page, info, sink);
+                }
+                return;
             }
-            return;
-        }
+            Probe::Miss(evicted) => evicted,
+        };
 
-        // Miss in both regions: install set-associatively.
         self.stats.misses += 1;
         let blocks = self.geom.blocks_per_page() as u32;
         sink.critical(MemOp::read(
@@ -223,9 +229,7 @@ impl GeminiCache {
             self.geom.page_base(page),
             blocks,
         ));
-        let mut info = PageInfo::default();
-        info.touched.insert(offset);
-        if let Some((victim_tag, victim)) = self.cold.insert(set, tag, info) {
+        if let Some((victim_tag, victim)) = evicted {
             self.evict_cold(set, victim_tag, victim, sink);
         }
         self.stats.fill_blocks += blocks as u64;

@@ -13,7 +13,7 @@ use fc_types::{Footprint, MemAccess, PageAddr, PageGeometry, PhysAddr};
 use crate::design::{sram_latency_cycles, DramCacheModel, DramCacheStats, StorageItem};
 use crate::page::PAGE_WAYS;
 use crate::plan::{AccessPlan, BlockCounts, MemOp, MemTarget, OpSink};
-use crate::setassoc::SetAssoc;
+use crate::setassoc::{Probe, SetAssoc};
 
 /// Bits per filter-table entry (page tag + saturating counter).
 const FILTER_ENTRY_BITS: u64 = 32;
@@ -93,15 +93,12 @@ impl HotPageCache {
     fn observe(&mut self, page: PageAddr) -> bool {
         let fsets = self.filter.sets() as u64;
         let (fset, ftag) = ((page.raw() % fsets) as usize, page.raw() / fsets);
-        match self.filter.get(fset, ftag) {
-            Some(count) => {
+        match self.filter.probe(fset, ftag, 1) {
+            Probe::Hit(count) => {
                 *count += 1;
                 *count >= self.threshold
             }
-            None => {
-                self.filter.insert(fset, ftag, 1);
-                self.threshold <= 1
-            }
+            Probe::Miss(_) => self.threshold <= 1,
         }
     }
 
@@ -139,7 +136,7 @@ impl HotPageCache {
         ));
         let mut info = PageInfo::default();
         info.touched.insert(offset);
-        if let Some((victim_tag, victim)) = self.tags.insert(set, tag, info) {
+        if let Some((victim_tag, victim)) = self.tags.fill(set, tag, info) {
             self.stats.evictions += 1;
             self.stats.density.record(victim.touched.len());
             if !victim.dirty.is_empty() {

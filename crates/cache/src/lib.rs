@@ -73,6 +73,6 @@ pub use metrics::PredictionCounters;
 pub use missmap::MissMap;
 pub use page::{PageBasedCache, WritebackGranularity};
 pub use plan::{AccessPlan, BlockCounts, MemOp, MemTarget, OpFlavor, OpList, OpSink};
-pub use setassoc::SetAssoc;
+pub use setassoc::{Probe, SetAssoc};
 pub use sram::{SramCache, SramOutcome};
 pub use subblock::SubBlockCache;

@@ -31,6 +31,18 @@ pub struct EvictedRegion {
     pub present: Footprint,
 }
 
+/// Where [`MissMap::lookup`] found a block: its presence bit and the way
+/// of its region entry, for a later [`MissMap::set_present_at`].
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct RegionLookup {
+    /// Whether the block is marked present.
+    pub present: bool,
+    set: usize,
+    tag: u64,
+    offset: usize,
+    way: Option<usize>,
+}
+
 /// The block-presence tracker of the block-based design.
 ///
 /// # Examples
@@ -102,6 +114,11 @@ impl MissMap {
         self.regions.capacity()
     }
 
+    /// Heap memory held by the simulator's model of the array, in bytes.
+    pub fn heap_bytes(&self) -> usize {
+        self.regions.heap_bytes()
+    }
+
     fn decompose(&self, block: BlockAddr) -> (usize, u64, usize) {
         let region = block.raw() / REGION_BLOCKS;
         let offset = (block.raw() % REGION_BLOCKS) as usize;
@@ -111,31 +128,65 @@ impl MissMap {
 
     /// Whether `block` is marked present.
     pub fn contains(&mut self, block: BlockAddr) -> bool {
+        self.lookup(block).present
+    }
+
+    /// [`contains`](Self::contains), remembering where the block's region
+    /// entry is.
+    pub(crate) fn lookup(&mut self, block: BlockAddr) -> RegionLookup {
         let (set, tag, offset) = self.decompose(block);
-        self.regions
-            .get(set, tag)
-            .map(|bits| (*bits >> offset) & 1 == 1)
-            .unwrap_or(false)
+        let (present, way) = match self.regions.get_way(set, tag) {
+            Some((way, bits)) => ((*bits >> offset) & 1 == 1, Some(way)),
+            None => (false, None),
+        };
+        RegionLookup {
+            present,
+            set,
+            tag,
+            offset,
+            way,
+        }
     }
 
     /// Marks `block` present, allocating its region entry if needed.
     /// Returns the evicted region (with its presence vector) if the
     /// allocation displaced one.
     pub fn set_present(&mut self, block: BlockAddr) -> Option<EvictedRegion> {
-        let (set, tag, offset) = self.decompose(block);
-        if let Some(bits) = self.regions.get(set, tag) {
-            *bits |= 1 << offset;
-            return None;
-        }
-        let evicted = self.regions.insert(set, tag, 1u64 << offset);
-        evicted.map(|(vtag, bits)| {
-            let sets = self.regions.sets() as u64;
-            let region = vtag * sets + set as u64;
-            EvictedRegion {
-                base: BlockAddr::new(region * REGION_BLOCKS),
-                present: Footprint::from_bits(bits),
+        // One scan: a found region is touched again, which leaves the
+        // most recent region most recent.
+        let found = self.lookup(block);
+        self.set_present_at(found)
+    }
+
+    /// [`set_present`](Self::set_present) for the block `found` looked
+    /// up, reusing its way instead of scanning the set again. Between the
+    /// two calls the MissMap may be probed and its bits changed, but no
+    /// region may be inserted or removed, so the region still sits where
+    /// it was found (or is still absent).
+    pub(crate) fn set_present_at(&mut self, found: RegionLookup) -> Option<EvictedRegion> {
+        let RegionLookup {
+            set,
+            tag,
+            offset,
+            way,
+            ..
+        } = found;
+        match way {
+            Some(way) => {
+                *self.regions.touch(set, way) |= 1 << offset;
+                None
             }
-        })
+            None => self
+                .regions
+                .fill(set, tag, 1 << offset)
+                .map(|(vtag, bits)| {
+                    let region = vtag * self.regions.sets() as u64 + set as u64;
+                    EvictedRegion {
+                        base: BlockAddr::new(region * REGION_BLOCKS),
+                        present: Footprint::from_bits(bits),
+                    }
+                }),
+        }
     }
 
     /// Clears `block`'s presence bit (the cache evicted it). Empty region
@@ -188,6 +239,24 @@ mod tests {
         assert_eq!(evicted.present, Footprint::from_offsets([0, 3]));
         // Evicted blocks are gone.
         assert!(!mm.contains(BlockAddr::new(0)));
+    }
+
+    /// The Block-based miss path: `lookup`, then a probe of another
+    /// region, then `set_present_at`. The second touch makes the looked-up
+    /// region most recent again, so the next allocation evicts the other.
+    #[test]
+    fn set_present_at_touches_the_found_region_again() {
+        // 1 set, 2 ways; regions 0 and 1 resident, region 1 most recent.
+        let mut mm = MissMap::new(2, 2);
+        mm.set_present(BlockAddr::new(0));
+        mm.set_present(BlockAddr::new(64));
+        let found = mm.lookup(BlockAddr::new(1)); // region 0, bit clear
+        assert!(!found.present);
+        mm.clear_present(BlockAddr::new(64)); // touches region 1
+        assert!(mm.set_present_at(found).is_none());
+        let evicted = mm.set_present(BlockAddr::new(128)).expect("set is full");
+        assert_eq!(evicted.base, BlockAddr::new(64));
+        assert!(mm.contains(BlockAddr::new(1)));
     }
 
     #[test]

@@ -8,7 +8,7 @@ use fc_types::{Footprint, MemAccess, PageAddr, PageGeometry, PhysAddr};
 
 use crate::design::{sram_latency_cycles, DramCacheModel, DramCacheStats, StorageItem};
 use crate::plan::{AccessPlan, BlockCounts, MemOp, MemTarget, OpSink};
-use crate::setassoc::SetAssoc;
+use crate::setassoc::{Probe, SetAssoc};
 
 /// Associativity of the page tag array (also used by Footprint Cache).
 pub(crate) const PAGE_WAYS: usize = 16;
@@ -150,13 +150,19 @@ impl PageBasedCache {
         let (set, tag) = self.decompose(page);
         sink.lookup(self.tag_latency);
 
-        if let Some(info) = self.tags.get(set, tag) {
-            info.touched.insert(offset);
-            self.stats.hits += 1;
-            sink.mark_hit();
-            sink.critical(MemOp::read(MemTarget::Stacked, self.slot_addr(set, tag), 1));
-            return;
-        }
+        // A miss allocates the page, so one probe looks up and fills.
+        let mut fill = PageInfo::default();
+        fill.touched.insert(offset);
+        let evicted = match self.tags.probe(set, tag, fill) {
+            Probe::Hit(info) => {
+                info.touched.insert(offset);
+                self.stats.hits += 1;
+                sink.mark_hit();
+                sink.critical(MemOp::read(MemTarget::Stacked, self.slot_addr(set, tag), 1));
+                return;
+            }
+            Probe::Miss(evicted) => evicted,
+        };
 
         // Page miss: fetch the whole page (critical-block-first), fill the
         // stacked DRAM, evict the victim page.
@@ -167,9 +173,7 @@ impl PageBasedCache {
             self.geom.page_base(page),
             blocks,
         ));
-        let mut info = PageInfo::default();
-        info.touched.insert(offset);
-        if let Some((victim_tag, victim)) = self.tags.insert(set, tag, info) {
+        if let Some((victim_tag, victim)) = evicted {
             self.evict(set, victim_tag, victim, sink);
         }
         self.stats.fill_blocks += blocks as u64;

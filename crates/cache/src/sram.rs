@@ -7,7 +7,7 @@ use serde::{Deserialize, Serialize};
 
 use fc_types::{BlockAddr, BLOCK_SIZE};
 
-use crate::setassoc::SetAssoc;
+use crate::setassoc::{Probe, SetAssoc};
 
 /// Result of an L2 access.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
@@ -86,20 +86,23 @@ impl SramCache {
         let set = (block.raw() % sets) as usize;
         let tag = block.raw() / sets;
 
-        if let Some(dirty) = self.lines.get(set, tag) {
-            self.stats.hits += 1;
-            *dirty |= is_write;
-            return SramOutcome::Hit;
-        }
-
-        let writeback = match self.lines.insert(set, tag, is_write) {
-            Some((victim_tag, true)) => {
-                self.stats.writebacks += 1;
-                Some(BlockAddr::new(victim_tag * sets + set as u64))
+        match self.lines.probe(set, tag, is_write) {
+            Probe::Hit(dirty) => {
+                self.stats.hits += 1;
+                *dirty |= is_write;
+                SramOutcome::Hit
             }
-            _ => None,
-        };
-        SramOutcome::Miss { writeback }
+            Probe::Miss(evicted) => {
+                let writeback = match evicted {
+                    Some((victim_tag, true)) => {
+                        self.stats.writebacks += 1;
+                        Some(BlockAddr::new(victim_tag * sets + set as u64))
+                    }
+                    _ => None,
+                };
+                SramOutcome::Miss { writeback }
+            }
+        }
     }
 
     /// Invalidates `block` if present, returning whether it was dirty.

@@ -8,7 +8,7 @@ use fc_types::{BlockStateVec, MemAccess, PageAddr, PageGeometry, PhysAddr};
 use crate::design::{sram_latency_cycles, DramCacheModel, DramCacheStats, StorageItem};
 use crate::page::PAGE_WAYS;
 use crate::plan::{AccessPlan, BlockCounts, MemOp, MemTarget, OpSink};
-use crate::setassoc::SetAssoc;
+use crate::setassoc::{Probe, SetAssoc};
 
 /// Bits per entry: page tag + valid/dirty bit vectors (32+32) + LRU.
 const TAG_ENTRY_BITS: u64 = 120;
@@ -103,33 +103,37 @@ impl SubBlockCache {
         let (set, tag) = self.decompose(page);
         sink.lookup(self.tag_latency);
 
-        if let Some(states) = self.tags.get(set, tag) {
-            if states.state(offset).is_present() {
+        // A page miss allocates the tag, so one probe looks up and fills.
+        let mut fill = BlockStateVec::new();
+        fill.demand_read(offset);
+        let evicted = match self.tags.probe(set, tag, fill) {
+            Probe::Hit(states) => {
+                if states.state(offset).is_present() {
+                    states.demand_read(offset);
+                    self.stats.hits += 1;
+                    sink.mark_hit();
+                    sink.critical(MemOp::read(MemTarget::Stacked, self.slot_addr(set, tag), 1));
+                    return;
+                }
+                // Sub-miss: page allocated, block absent.
                 states.demand_read(offset);
-                self.stats.hits += 1;
-                sink.mark_hit();
-                sink.critical(MemOp::read(MemTarget::Stacked, self.slot_addr(set, tag), 1));
+                self.stats.misses += 1;
+                sink.critical(MemOp::read(MemTarget::OffChip, req.addr.block().base(), 1));
+                self.stats.fill_blocks += 1;
+                sink.background(MemOp::write(
+                    MemTarget::Stacked,
+                    self.slot_addr(set, tag),
+                    1,
+                ));
                 return;
             }
-            // Sub-miss: page allocated, block absent.
-            states.demand_read(offset);
-            self.stats.misses += 1;
-            sink.critical(MemOp::read(MemTarget::OffChip, req.addr.block().base(), 1));
-            self.stats.fill_blocks += 1;
-            sink.background(MemOp::write(
-                MemTarget::Stacked,
-                self.slot_addr(set, tag),
-                1,
-            ));
-            return;
-        }
+            Probe::Miss(evicted) => evicted,
+        };
 
-        // Page miss: allocate the tag, fetch only the demanded block.
+        // Page miss: the tag is allocated, fetch only the demanded block.
         self.stats.misses += 1;
         sink.critical(MemOp::read(MemTarget::OffChip, req.addr.block().base(), 1));
-        let mut states = BlockStateVec::new();
-        states.demand_read(offset);
-        if let Some((victim_tag, victim)) = self.tags.insert(set, tag, states) {
+        if let Some((victim_tag, victim)) = evicted {
             self.evict(set, victim_tag, victim, sink);
         }
         self.stats.fill_blocks += 1;

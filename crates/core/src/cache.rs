@@ -174,17 +174,18 @@ impl FootprintCache {
         ));
     }
 
-    /// Allocates `page` fetching `predicted`, with `offset` as the
-    /// demanded block, and emits the fetch/fill/evict ops.
+    /// Allocates `page`, which a tag lookup at `(set, tag)` just missed,
+    /// fetching `predicted`, with `offset` as the demanded block, and
+    /// emits the fetch/fill/evict ops.
     fn allocate(
         &mut self,
         page: PageAddr,
+        (set, tag): (usize, u64),
         offset: usize,
         predicted: Footprint,
         fht_key: u64,
         sink: &mut impl OpSink,
     ) {
-        let (set, tag) = self.decompose(page);
         let blocks = predicted.len() as u32;
 
         // One off-chip row activation streams the whole footprint,
@@ -211,7 +212,7 @@ impl FootprintCache {
             predicted,
             fht_key,
         };
-        if let Some((victim_tag, victim)) = self.tags.insert(set, tag, entry) {
+        if let Some((victim_tag, victim)) = self.tags.fill(set, tag, entry) {
             self.evict(set, victim_tag, victim, sink);
         }
     }
@@ -281,7 +282,7 @@ impl FootprintCache {
             let mut predicted = Footprint::singleton(st_entry.offset as usize);
             predicted.insert(offset);
             self.fht.train(st_entry.key, predicted);
-            self.allocate(page, offset, predicted, st_entry.key, sink);
+            self.allocate(page, (set, tag), offset, predicted, st_entry.key, sink);
             return;
         }
 
@@ -299,12 +300,19 @@ impl FootprintCache {
                 // demanded block).
                 let mut predicted = fp;
                 predicted.insert(offset);
-                self.allocate(page, offset, predicted, key, sink);
+                self.allocate(page, (set, tag), offset, predicted, key, sink);
             }
             None => {
                 // No history: fetch the demanded block only; the eviction
                 // feedback will create the FHT entry.
-                self.allocate(page, offset, Footprint::singleton(offset), key, sink);
+                self.allocate(
+                    page,
+                    (set, tag),
+                    offset,
+                    Footprint::singleton(offset),
+                    key,
+                    sink,
+                );
             }
         }
     }

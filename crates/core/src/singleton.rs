@@ -18,7 +18,7 @@ use fc_cache::SetAssoc;
 use crate::pattern_hash;
 
 /// What the Singleton Table remembers about one bypassed page.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct SingletonEntry {
     /// Prediction key (PC & offset, already collapsed by
     /// [`KeyKind`](crate::KeyKind)) that classified the page as singleton.

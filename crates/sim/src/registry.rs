@@ -137,7 +137,7 @@ pub fn design_family(name: &str) -> Option<&'static DesignFamily> {
 
 /// The largest stacked capacity, in MB, that [`resolve_designs`]
 /// accepts: 8x the paper's largest (512 MB). A Block-based model
-/// allocates a 1.5 GB tag array at this size; far larger requests
+/// allocates a 0.6 GB tag array at this size; far larger requests
 /// would abort the process on allocation, or wrap `mb << 20` to 0 at
 /// 2^44 MB.
 pub const MAX_CAPACITY_MB: u64 = 4096;
