@@ -40,7 +40,7 @@ pub mod scenario;
 pub mod synth;
 
 pub use io::{TraceIoError, TraceReader, TraceWriter};
-pub use record::TraceRecord;
+pub use record::{records_digest, TraceRecord};
 pub use scenario::{
     resolve_scenarios, scenario_family, PhaseSchedule, ScenarioFamily, ScenarioGenerator,
     ScenarioSpec, SCENARIO_FAMILIES,

@@ -4,7 +4,7 @@ use core::fmt;
 
 use serde::{Deserialize, Serialize};
 
-use fc_types::{AccessKind, CoreId, MemAccess, Pc, PhysAddr};
+use fc_types::{AccessKind, CoreId, FnvHasher, MemAccess, Pc, PhysAddr};
 
 /// One memory reference in a trace: the access itself plus the number of
 /// instructions the issuing core executed since its previous memory
@@ -35,6 +35,32 @@ impl TraceRecord {
             core: self.core,
         }
     }
+}
+
+/// FNV-1a digest of a record sequence over every field: `pc` and `addr`
+/// (8 bytes each), `kind` (0 read, 1 write), `core`, and `inst_gap`
+/// (4 bytes), all little-endian. Two streams with equal digests are, for
+/// any practical purpose, the same records in the same order.
+///
+/// ```
+/// use fc_trace::{records_digest, TraceGenerator, WorkloadKind};
+///
+/// let a = records_digest(TraceGenerator::new(WorkloadKind::WebSearch, 4, 7).take(1000));
+/// let b = records_digest(TraceGenerator::new(WorkloadKind::WebSearch, 4, 7).take(1000));
+/// let c = records_digest(TraceGenerator::new(WorkloadKind::WebSearch, 4, 8).take(1000));
+/// assert_eq!(a, b);
+/// assert_ne!(a, c);
+/// ```
+pub fn records_digest(records: impl IntoIterator<Item = TraceRecord>) -> u64 {
+    use std::hash::Hasher;
+    let mut hash = FnvHasher::default();
+    for r in records {
+        hash.write(&r.pc.raw().to_le_bytes());
+        hash.write(&r.addr.raw().to_le_bytes());
+        hash.write(&[u8::from(r.kind.is_write()), r.core]);
+        hash.write(&r.inst_gap.to_le_bytes());
+    }
+    hash.finish()
 }
 
 impl fmt::Display for TraceRecord {

@@ -344,6 +344,42 @@ mod tests {
         STEPS.iter().map(|s| s.unwrap_or(1)).sum()
     }
 
+    /// Records per pinned digest: about 15 windows of a 16-core stream
+    /// and 6 SAT Solver pattern re-derivations.
+    const PINNED_RECORDS: usize = 1_000_000;
+
+    /// [`records_digest`](crate::records_digest) of the first
+    /// [`PINNED_RECORDS`] records of each workload's 16-core stream at
+    /// seed 1. Any change to the synthesized stream changes these.
+    const PINNED: [(WorkloadKind, u64); 6] = [
+        (WorkloadKind::DataServing, 0x6539_f2dd_00e4_1062),
+        (WorkloadKind::MapReduce, 0xe23d_dc83_156e_2914),
+        (WorkloadKind::Multiprogrammed, 0x9ce0_c404_a596_5127),
+        (WorkloadKind::SatSolver, 0xb0fa_58e0_2e12_4851),
+        (WorkloadKind::WebFrontend, 0x4567_9df6_d594_ab61),
+        (WorkloadKind::WebSearch, 0x8c2d_f3d2_90cd_701f),
+    ];
+
+    #[test]
+    fn pinned_digests_through_next() {
+        for (kind, digest) in PINNED {
+            let got = crate::records_digest(TraceGenerator::new(kind, 16, 1).take(PINNED_RECORDS));
+            assert_eq!(got, digest, "{kind:?}: {got:#018x}");
+        }
+    }
+
+    #[test]
+    fn pinned_digests_through_fill() {
+        for (kind, digest) in PINNED {
+            for workers in [2, 3] {
+                let mut out = Vec::new();
+                TraceGenerator::new(kind, 16, 1).fill(&mut out, PINNED_RECORDS, &Threads(workers));
+                let got = crate::records_digest(out);
+                assert_eq!(got, digest, "{kind:?}, {workers} workers: {got:#018x}");
+            }
+        }
+    }
+
     #[test]
     fn windowed_fill_matches_next_on_one_core() {
         check_cores(1);
