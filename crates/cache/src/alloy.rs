@@ -20,11 +20,14 @@ const TAD_BYTES: u64 = 72;
 /// TADs per 2 KB stacked row (Alloy packs 28, wasting 32 bytes).
 const TADS_PER_ROW: u64 = 28;
 
-/// One direct-mapped TAD slot.
-#[derive(Clone, Copy, Debug)]
-struct Tad {
-    tag: u64,
-    dirty: bool,
+/// A TAD slot word's dirty bit. A slot is one `u64`: zero when empty,
+/// otherwise `(tag + 1) << 1 | dirty`, so a new cache is one zeroed
+/// allocation.
+const DIRTY: u64 = 1;
+
+/// The slot word of a clean TAD holding `tag`.
+fn clean_tad(tag: u64) -> u64 {
+    (tag + 1) << 1
 }
 
 /// The Alloy-style direct-mapped tags-in-DRAM cache.
@@ -45,7 +48,8 @@ struct Tad {
 /// ```
 #[derive(Clone, Debug)]
 pub struct AlloyCache {
-    slots: Vec<Option<Tad>>,
+    /// One word per TAD (see [`DIRTY`]).
+    slots: Vec<u64>,
     stats: DramCacheStats,
 }
 
@@ -60,7 +64,7 @@ impl AlloyCache {
         let tads = capacity_bytes / TAD_BYTES;
         assert!(tads > 0, "capacity must hold at least one 72-byte TAD");
         Self {
-            slots: vec![None; tads as usize],
+            slots: vec![0; tads as usize],
             stats: DramCacheStats::default(),
         }
     }
@@ -93,7 +97,8 @@ impl AlloyCache {
             fc_types::AccessKind::Read,
         ));
 
-        if matches!(self.slots[index], Some(t) if t.tag == tag) {
+        let resident = self.slots[index];
+        if resident & !DIRTY == clean_tad(tag) {
             self.stats.hits += 1;
             sink.mark_hit();
             return;
@@ -103,13 +108,14 @@ impl AlloyCache {
         // from off-chip memory and fill the slot.
         self.stats.misses += 1;
         sink.critical(MemOp::read(MemTarget::OffChip, block.base(), 1));
-        if let Some(victim) = self.slots[index].replace(Tad { tag, dirty: false }) {
+        self.slots[index] = clean_tad(tag);
+        if resident != 0 {
             self.stats.evictions += 1;
-            if victim.dirty {
+            if resident & DIRTY != 0 {
                 self.stats.dirty_evictions += 1;
                 sink.background(MemOp::write(
                     MemTarget::OffChip,
-                    self.block_of(index, victim.tag).base(),
+                    self.block_of(index, (resident >> 1) - 1).base(),
                     1,
                 ));
             }
@@ -126,20 +132,18 @@ impl AlloyCache {
     fn writeback_into(&mut self, addr: PhysAddr, sink: &mut impl OpSink) {
         let block = addr.block();
         let (index, tag) = self.decompose(block);
-        match &mut self.slots[index] {
-            Some(t) if t.tag == tag => {
-                t.dirty = true;
-                sink.mark_hit();
-                sink.background(MemOp::compound(
-                    MemTarget::Stacked,
-                    self.slot_addr(index),
-                    fc_types::AccessKind::Write,
-                ));
-            }
-            _ => {
-                // Not cached: write through without allocating.
-                sink.background(MemOp::write(MemTarget::OffChip, block.base(), 1));
-            }
+        let slot = &mut self.slots[index];
+        if *slot & !DIRTY == clean_tad(tag) {
+            *slot |= DIRTY;
+            sink.mark_hit();
+            sink.background(MemOp::compound(
+                MemTarget::Stacked,
+                self.slot_addr(index),
+                fc_types::AccessKind::Write,
+            ));
+        } else {
+            // Not cached: write through without allocating.
+            sink.background(MemOp::write(MemTarget::OffChip, block.base(), 1));
         }
     }
 }
@@ -218,6 +222,34 @@ mod tests {
         assert_eq!(plan.offchip_write_blocks(), 1);
         // The original block is gone.
         assert!(!c.access(read(0)).hit);
+    }
+
+    #[test]
+    fn dirty_victim_writes_back_its_own_block() {
+        let mut c = small();
+        let tads = c.slots.len() as u64;
+        // Tag 0 (block 0) must read as resident, not as an empty slot.
+        assert!(!c.access(read(0)).hit);
+        assert!(c.access(read(0)).hit);
+        // A clean victim leaves without an off-chip write.
+        let clean = c.access(read(5 * tads * 64));
+        assert!(!clean.hit);
+        assert_eq!(clean.offchip_write_blocks(), 0);
+        // Dirty the tag-5 block; its eviction writes back that block
+        // and no other, and the newcomer arrives clean.
+        assert!(c.writeback(PhysAddr::new(5 * tads * 64)).hit);
+        let plan = c.access(read(9 * tads * 64));
+        let writes: Vec<_> = plan
+            .background
+            .iter()
+            .filter(|op| op.target == MemTarget::OffChip)
+            .map(|op| op.addr.raw())
+            .collect();
+        assert_eq!(writes, [5 * tads * 64]);
+        let plan = c.access(read(5 * tads * 64));
+        assert_eq!(plan.offchip_write_blocks(), 0, "tag 9 was filled clean");
+        assert_eq!(c.stats().evictions, 3);
+        assert_eq!(c.stats().dirty_evictions, 1);
     }
 
     #[test]

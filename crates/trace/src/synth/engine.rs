@@ -15,6 +15,17 @@
 //! sorted by (time, core). Any prefix is therefore "every core's records
 //! below some horizon, sorted by (time, core)" — the property the
 //! windowed parallel fill ([`TraceGenerator::fill`]) builds on.
+//!
+//! **Visit heap.** A core's live visits sit in a fixed set of slots, one
+//! per visit it keeps alive, and a binary min-heap orders them by next
+//! touch time as one packed `u64` key per visit, `time << slot_bits |
+//! slot` ([`VisitKeys`]). A slot belongs to one live visit at a time, so
+//! no two keys are equal and the heap pops by (time, slot) whatever its
+//! internal layout. A visit that ends hands its slot straight to the
+//! visit that replaces it, so emitting a record rewrites the top key in
+//! place and sifts once, instead of a pop and a push. `slot_bits` is
+//! sized from the slot count at construction; a time that would not fit
+//! the remaining bits panics rather than reorder the stream.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -31,7 +42,7 @@ use crate::synth::{ClassSpec, PageSelect, WorkloadKind, WorkloadSpec, Zipf};
 /// Bytes per structure chunk (the pattern granularity).
 const CHUNK_BYTES: u64 = 2048;
 
-#[derive(Clone, Debug)]
+#[derive(Clone, Copy, Debug)]
 struct Visit {
     class: u16,
     func: u16,
@@ -76,6 +87,48 @@ impl RuntimeClass {
     }
 }
 
+/// Packs a visit's next touch time and slot into one heap key, `time <<
+/// slot_bits | slot`, so key order is (time, slot) order.
+#[derive(Clone, Copy, Debug)]
+struct VisitKeys {
+    slot_bits: u32,
+}
+
+impl VisitKeys {
+    /// Keys for slots `0..slots`.
+    fn new(slots: usize) -> Self {
+        Self {
+            slot_bits: usize::BITS - slots.saturating_sub(1).leading_zeros(),
+        }
+    }
+
+    /// Latest time a key can hold.
+    fn max_time(self) -> u64 {
+        u64::MAX >> self.slot_bits
+    }
+
+    /// # Panics
+    ///
+    /// Panics if `time` is past [`max_time`](Self::max_time): a
+    /// truncated time would silently reorder the stream.
+    fn pack(self, time: u64, slot: u32) -> u64 {
+        assert!(
+            time <= self.max_time(),
+            "visit time {time} is past the key's {}-bit time budget",
+            u64::BITS - self.slot_bits
+        );
+        time << self.slot_bits | u64::from(slot)
+    }
+
+    fn time(self, key: u64) -> u64 {
+        key >> self.slot_bits
+    }
+
+    fn slot(self, key: u64) -> u32 {
+        (key & !(u64::MAX << self.slot_bits)) as u32
+    }
+}
+
 /// One core's event-driven visit schedule. Crate-visible so the
 /// scenario generator (`crate::scenario`) can compose per-core engines
 /// running *different* workloads into one interleaved stream.
@@ -93,10 +146,11 @@ pub(crate) struct CoreEngine {
     salt: u64,
     rng: SmallRng,
     classes: Vec<RuntimeClass>,
+    /// Live visits; a slot's visit is replaced when it ends.
     slots: Vec<Visit>,
-    free: Vec<u32>,
-    /// Min-heap of (next touch time, slot).
-    heap: BinaryHeap<Reverse<(u64, u32)>>,
+    keys: VisitKeys,
+    /// Min-heap of packed (next touch time, slot) keys, one per slot.
+    heap: BinaryHeap<Reverse<u64>>,
     last_inst: u64,
     phase_len: Option<u64>,
 }
@@ -111,7 +165,7 @@ impl CoreEngine {
             rng,
             classes: Vec::new(),
             slots: Vec::new(),
-            free: Vec::new(),
+            keys: VisitKeys::new(0),
             heap: BinaryHeap::new(),
             last_inst: 0,
             phase_len: spec.phase_len,
@@ -150,12 +204,19 @@ impl CoreEngine {
         }
         // Populate the initial visit mix, first touches spread over one
         // interval so the schedule starts smooth.
+        let visits: u32 = engine.classes.iter().map(|c| c.concurrency).sum();
+        engine.keys = VisitKeys::new(visits as usize);
+        engine.slots.reserve_exact(visits as usize);
+        engine.heap.reserve_exact(visits as usize);
         for c in 0..engine.classes.len() {
             for _ in 0..engine.classes[c].concurrency {
                 let when = engine
                     .rng
                     .random_range(0..engine.classes[c].interval.max(2));
-                engine.spawn_fresh(c as u16, when);
+                let visit = engine.fresh_visit(c as u16, when);
+                let key = engine.keys.pack(when, engine.slots.len() as u32);
+                engine.slots.push(visit);
+                engine.heap.push(Reverse(key));
             }
         }
         engine
@@ -165,17 +226,9 @@ impl CoreEngine {
         self.phase_len.map_or(0, |p| when / p)
     }
 
-    fn alloc_slot(&mut self, visit: Visit) -> u32 {
-        if let Some(slot) = self.free.pop() {
-            self.slots[slot as usize] = visit;
-            slot
-        } else {
-            self.slots.push(visit);
-            (self.slots.len() - 1) as u32
-        }
-    }
-
-    fn spawn_fresh(&mut self, class: u16, when: u64) {
+    /// A visit of a newly picked page by a newly picked function of
+    /// `class`, starting at `when`.
+    fn fresh_visit(&mut self, class: u16, when: u64) -> Visit {
         let salt = self.salt_at(when);
         let rc = &mut self.classes[class as usize];
         let func = self.rng.random_range(0..rc.spec.functions);
@@ -186,17 +239,17 @@ impl CoreEngine {
             self.rng.random_range(0..CHUNK_BLOCKS as u8)
         };
         let remaining = rc.spec.pattern.derive(self.seed, class, func, salt);
-        let slot = self.alloc_slot(Visit {
+        Visit {
             class,
             func,
             page,
             start,
             remaining,
-        });
-        self.heap.push(Reverse((when, slot)));
+        }
     }
 
-    fn respawn_same(&mut self, visit: &Visit, when: u64) {
+    /// `visit`'s page and function again, starting at `when`.
+    fn revisit(&self, visit: Visit, when: u64) -> Visit {
         let salt = self.salt_at(when);
         let remaining = self.classes[visit.class as usize].spec.pattern.derive(
             self.seed,
@@ -204,17 +257,18 @@ impl CoreEngine {
             visit.func,
             salt,
         );
-        let slot = self.alloc_slot(Visit {
-            remaining,
-            ..*visit
-        });
-        self.heap.push(Reverse((when, slot)));
+        Visit { remaining, ..visit }
+    }
+
+    /// The earliest packed key.
+    fn top(&self) -> u64 {
+        let Reverse(key) = self.heap.peek().expect("core heap never empties");
+        *key
     }
 
     /// Scheduled time of this core's next record.
     pub(crate) fn peek_time(&self) -> u64 {
-        let Reverse((t, _)) = self.heap.peek().expect("core heap never empties");
-        (*t).max(self.last_inst + 1)
+        self.keys.time(self.top()).max(self.last_inst + 1)
     }
 
     /// Instruction time of the last emitted record (core-local clock).
@@ -242,30 +296,31 @@ impl CoreEngine {
 
     /// Emits this core's next record.
     pub(crate) fn emit(&mut self) -> TraceRecord {
-        let Reverse((t, slot)) = self.heap.pop().expect("core heap never empties");
-        let now = t.max(self.last_inst + 1);
+        let top = self.top();
+        let slot = self.keys.slot(top);
+        let now = self.keys.time(top).max(self.last_inst + 1);
         let gap = (now - self.last_inst).min(u32::MAX as u64) as u32;
         self.last_inst = now;
 
         let visit = &mut self.slots[slot as usize];
         let delta = visit.remaining.trailing_zeros();
         visit.remaining &= visit.remaining - 1;
+        let visit = *visit;
         let offset = (visit.start as u32 + delta) % CHUNK_BLOCKS as u32;
         let class = visit.class;
-        let func = visit.func;
-        let page = visit.page;
-        let done = visit.remaining == 0;
-        let finished = visit.clone();
 
         let rc = &self.classes[class as usize];
-        let addr = rc.region_base + page * CHUNK_BYTES + offset as u64 * 64;
+        let addr = rc.region_base + visit.page * CHUNK_BYTES + offset as u64 * 64;
         let pc_core = if rc.spec.private_region {
             (self.core as u64) << 24
         } else {
             0
         };
-        let pc =
-            (self.salt << 32) | 0x40_0000 | pc_core | (class as u64) << 16 | (func as u64) << 2;
+        let pc = (self.salt << 32)
+            | 0x40_0000
+            | pc_core
+            | (class as u64) << 16
+            | (visit.func as u64) << 2;
         let write_frac = rc.spec.write_frac;
         let reuse = rc.spec.reuse;
         let kind = if self.rng.random::<f64>() < write_frac {
@@ -274,20 +329,19 @@ impl CoreEngine {
             AccessKind::Read
         };
 
-        if done {
-            self.free.push(slot);
-            let next = now + self.classes[class as usize].draw_interval(&mut self.rng);
-            if self.rng.random::<f64>() < reuse {
+        let next = now + self.classes[class as usize].draw_interval(&mut self.rng);
+        if visit.remaining == 0 {
+            // The slot passes to the visit that replaces this one.
+            self.slots[slot as usize] = if self.rng.random::<f64>() < reuse {
                 // Temporal reuse: revisit the same page with the same
                 // function after roughly one inter-touch interval.
-                self.respawn_same(&finished, next);
+                self.revisit(visit, next)
             } else {
-                self.spawn_fresh(class, next);
-            }
-        } else {
-            let next = now + self.classes[class as usize].draw_interval(&mut self.rng);
-            self.heap.push(Reverse((next, slot)));
+                self.fresh_visit(class, next)
+            };
         }
+        let key = self.keys.pack(next, slot);
+        *self.heap.peek_mut().expect("core heap never empties") = Reverse(key);
 
         TraceRecord {
             pc: Pc::new(pc),
@@ -422,6 +476,28 @@ mod tests {
                 private_region: false,
             }],
         }
+    }
+
+    #[test]
+    fn visit_keys_round_trip_at_their_limits() {
+        for slots in [1, 2, 3, 300, 1 << 12, (1 << 12) + 1] {
+            let keys = VisitKeys::new(slots);
+            let last = slots as u32 - 1;
+            assert!(u64::from(last) >> keys.slot_bits == 0, "{slots} slots fit");
+            for (time, slot) in [(0, 0), (keys.max_time(), last), (keys.max_time(), 0)] {
+                let key = keys.pack(time, slot);
+                assert_eq!((keys.time(key), keys.slot(key)), (time, slot), "{slots}");
+            }
+            // Key order is (time, slot) order.
+            assert!(keys.pack(1, 0) > keys.pack(0, last));
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "time budget")]
+    fn visit_time_past_the_key_budget_panics() {
+        let keys = VisitKeys::new(300);
+        keys.pack(keys.max_time() + 1, 0);
     }
 
     #[test]

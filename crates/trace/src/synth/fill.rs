@@ -6,10 +6,16 @@
 //! phases, each split into independent jobs:
 //!
 //! 1. *advance* — one job per core emits that core's records below a
-//!    time horizon into its own run;
+//!    time horizon into its own run, each record with a merge key that
+//!    sorts by (time, core). Job 0, claimed first, instead grows the
+//!    destination by the expected window: first touch of fresh memory
+//!    is slow, and started first it overlaps the cores' advance
+//!    instead of trailing it.
 //! 2. *merge* — the window's records are cut into equal rank ranges
-//!    and each job merges its range of every core's run, by
-//!    (time, core), straight into its slice of the destination.
+//!    and each job merges its range of every core's run straight into
+//!    its slice of the destination. A winner tree over the runs' head
+//!    keys, padded to a power of two, picks each next record in
+//!    log2(cores) compares.
 //!
 //! Records past the requested length stay in the generator's spill, so
 //! `next` and later fills continue the identical stream. This crate
@@ -152,9 +158,9 @@ impl TraceGenerator {
         let span = ((WINDOW as f64 / self.rate).ceil() as u64).clamp(1, MAX_SPAN);
         let horizon = start.saturating_add(span);
 
-        // Advance every core, plus one job that grows `out` by the
-        // expected window (first touch of fresh memory is slow, so it
-        // overlaps the cores' work).
+        // Job 0 grows `out` by the expected window: first touch of
+        // fresh memory is slow, and claimed first it overlaps the cores'
+        // advance instead of trailing it. Job `1 + c` advances core `c`.
         let base = out.len();
         let lanes: Vec<Mutex<(&mut CoreEngine, &mut CoreRun)>> = self
             .cores
@@ -163,16 +169,16 @@ impl TraceGenerator {
             .map(Mutex::new)
             .collect();
         let grow = Mutex::new(&mut *out);
-        run_each(workers, lanes.len() + 1, &|job| match lanes.get(job) {
-            Some(lane) => {
-                let mut lane = lane.lock().expect("core lane");
-                let (engine, run) = &mut *lane;
-                run.advance(engine, job, start, horizon);
-            }
+        run_each(workers, lanes.len() + 1, &|job| match job.checked_sub(1) {
             None => grow
                 .lock()
                 .expect("destination")
                 .resize(base + need.min(WINDOW), BLANK),
+            Some(core) => {
+                let mut lane = lanes[core].lock().expect("core lane");
+                let (engine, run) = &mut *lane;
+                run.advance(engine, core, start, horizon);
+            }
         });
         drop((lanes, grow));
         let total: usize = runs.iter().map(|run| run.records.len()).sum();
@@ -251,13 +257,28 @@ fn merge(runs: &[CoreRun], from: &[usize], to: &[usize], dest: &mut [TraceRecord
             u64::MAX
         }
     };
-    let mut heads: Vec<u64> = (0..runs.len()).map(|core| head(core, at[core])).collect();
+    // Winner tree: leaf `leaves + c` holds core `c`'s head key (padding
+    // leaves hold `u64::MAX`) and every inner node the smaller of its
+    // children's, so the root is the next key, and taking a record
+    // replays only the path above its core's leaf.
+    let leaves = runs.len().next_power_of_two();
+    let mut tree = vec![u64::MAX; 2 * leaves];
+    for (core, &at) in at.iter().enumerate() {
+        tree[leaves + core] = head(core, at);
+    }
+    for node in (1..leaves).rev() {
+        tree[node] = tree[2 * node].min(tree[2 * node + 1]);
+    }
     for slot in dest.iter_mut() {
-        let key = *heads.iter().min().expect("at least one core");
-        let core = (key & 0xff) as usize;
+        let core = (tree[1] & 0xff) as usize;
         *slot = runs[core].records[at[core]];
         at[core] += 1;
-        heads[core] = head(core, at[core]);
+        let mut node = leaves + core;
+        tree[node] = head(core, at[core]);
+        while node > 1 {
+            tree[node / 2] = tree[node].min(tree[node ^ 1]);
+            node /= 2;
+        }
     }
     debug_assert_eq!(at, to, "segment fully merged");
 }
@@ -386,8 +407,18 @@ mod tests {
     }
 
     #[test]
+    fn windowed_fill_matches_next_on_three_cores() {
+        check_cores(3);
+    }
+
+    #[test]
     fn windowed_fill_matches_next_on_four_cores() {
         check_cores(4);
+    }
+
+    #[test]
+    fn windowed_fill_matches_next_on_five_cores() {
+        check_cores(5);
     }
 
     #[test]

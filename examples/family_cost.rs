@@ -1,10 +1,13 @@
 //! Per-family replay cost on one filtered trace, on the public API: for
 //! every registry design family at 64 MB, functional and detailed
 //! ns/record, the median build+drop time of the family's pod and a
-//! digest of its report, plus the shared L2 filter's ns/record. Run two
+//! digest of its report, plus the shared L2 filter's ns/record. Before
+//! that, trace synthesis: ns/record of the sequential `next` path and of
+//! the windowed `fill` at 2 workers, for Web Search, Data Serving and
+//! MapReduce at 16 cores, each with the digest of its records. Run two
 //! builds on the same host, alternating, and compare: the timings show
-//! which family got faster or slower, and equal digests show that no
-//! report changed.
+//! which layer or family got faster or slower, and equal digests show
+//! that no record or report changed.
 //!
 //! Run with (defaults: 3,844,000 Web Search records, best of 3):
 //!
@@ -19,13 +22,17 @@
 //! (`fc_sim::DETAILED_TAIL`) functionally and the rest detailed, over
 //! L2 outcomes filtered once for all families. A shorter `--records`
 //! keeps the same functional share. Timings are the best of `--reps`
-//! replays; every replay must reproduce the first one's digest.
+//! replays; every replay must reproduce the first one's digest. Each
+//! workload synthesizes `--records` records per path, best of `--reps`;
+//! the two paths must produce equal records.
 
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
 use fc_sim::{L2Outcomes, SimConfig, SimReport, Simulation, DESIGN_FAMILIES, DETAILED_TAIL};
-use fc_trace::{TraceGenerator, TraceRecord, WorkloadKind};
+use fc_trace::synth::Workers;
+use fc_trace::{records_digest, TraceGenerator, TraceRecord, WorkloadKind};
 
 /// Records of a `full`-scale 64 MB point: warm-up, then measured.
 const FULL_WARMUP: usize = 2_460_000;
@@ -36,6 +43,41 @@ const SEED: u64 = 1;
 const CAPACITY_MB: u64 = 64;
 /// Pods built and dropped per family for the build+drop median.
 const BUILDS: usize = 40;
+/// Workloads whose synthesis is timed: the `sampled` preset's.
+const SYNTH_WORKLOADS: [WorkloadKind; 3] = [
+    WorkloadKind::WebSearch,
+    WorkloadKind::DataServing,
+    WorkloadKind::MapReduce,
+];
+/// Workers of the timed windowed fill.
+const FILL_WORKERS: usize = 2;
+
+/// Scoped threads, the calling one included, claiming fill jobs from a
+/// shared cursor.
+struct Lanes(usize);
+
+impl Workers for Lanes {
+    fn count(&self) -> usize {
+        self.0
+    }
+
+    fn run(&self, jobs: usize, job: &(dyn Fn(usize) + Sync)) {
+        let cursor = AtomicUsize::new(0);
+        let lane = || loop {
+            let i = cursor.fetch_add(1, Ordering::Relaxed);
+            if i >= jobs {
+                break;
+            }
+            job(i);
+        };
+        std::thread::scope(|scope| {
+            for _ in 1..self.0.min(jobs) {
+                scope.spawn(lane);
+            }
+            lane();
+        });
+    }
+}
 
 fn usage() -> ! {
     eprintln!("usage: family_cost [--records N] [--reps N]");
@@ -60,9 +102,36 @@ fn main() {
     }
 
     let config = SimConfig::default();
-    let trace: Vec<TraceRecord> = TraceGenerator::new(WorkloadKind::WebSearch, config.cores, SEED)
-        .take(records)
-        .collect();
+    println!(
+        "Synthesis, {} cores, seed {SEED}: {records} records per workload, best of {reps}",
+        config.cores
+    );
+    println!(
+        "{:<14} {:>11} {:>11}  {:<16}",
+        "workload",
+        "next ns",
+        format!("fill x{FILL_WORKERS} ns"),
+        "record digest"
+    );
+    let mut trace = Vec::new();
+    for kind in SYNTH_WORKLOADS {
+        let (next_ns, records_next) = synthesize(kind, config.cores, records, reps, 1);
+        let (fill_ns, records_fill) = synthesize(kind, config.cores, records, reps, FILL_WORKERS);
+        let digest = records_digest(records_next.iter().copied());
+        assert!(
+            records_next == records_fill,
+            "{kind}: fill differs from next"
+        );
+        println!(
+            "{:<14} {next_ns:>11.1} {fill_ns:>11.1}  {digest:016x}",
+            kind.name()
+        );
+        if kind == WorkloadKind::WebSearch {
+            trace = records_next;
+        }
+    }
+    println!();
+
     let functional = (records as u128 * (FULL_WARMUP - DETAILED_TAIL as usize) as u128
         / (FULL_WARMUP + FULL_MEASURED) as u128) as usize;
     let detailed = records - functional;
@@ -141,6 +210,33 @@ fn main() {
         "{:<10} {:>14} {functional_sum:>15.1} {detailed_sum:>15.1}",
         "sum", ""
     );
+}
+
+/// Synthesizes `records` records of `kind` with `fill` on `workers`
+/// workers (one is the sequential `next` loop), `reps` times; returns
+/// the best ns/record and the records, checking that every rep made the
+/// same ones.
+fn synthesize(
+    kind: WorkloadKind,
+    cores: u8,
+    records: usize,
+    reps: usize,
+    workers: usize,
+) -> (f64, Vec<TraceRecord>) {
+    let mut best = f64::INFINITY;
+    let mut first: Option<Vec<TraceRecord>> = None;
+    for _ in 0..reps {
+        let mut generator = TraceGenerator::new(kind, cores, SEED);
+        let mut out = Vec::new();
+        let start = Instant::now();
+        generator.fill(&mut out, records, &Lanes(workers));
+        best = best.min(ns_per_record(start, records));
+        match &first {
+            Some(want) => assert!(*want == out, "{kind}: synthesis reps disagree"),
+            None => first = Some(out),
+        }
+    }
+    (best, first.expect("at least one rep"))
 }
 
 /// Nanoseconds per record since `start` over `records` records (0 when
