@@ -158,9 +158,9 @@ impl TraceGenerator {
         let span = ((WINDOW as f64 / self.rate).ceil() as u64).clamp(1, MAX_SPAN);
         let horizon = start.saturating_add(span);
 
-        // Job 0 grows `out` by the expected window: first touch of
-        // fresh memory is slow, and claimed first it overlaps the cores'
-        // advance instead of trailing it. Job `1 + c` advances core `c`.
+        // Job 0 grows `out` by the expected window, first so that its
+        // slow first touch overlaps the cores' advance (see the module
+        // doc); job `1 + c` advances core `c`.
         let base = out.len();
         let lanes: Vec<Mutex<(&mut CoreEngine, &mut CoreRun)>> = self
             .cores
