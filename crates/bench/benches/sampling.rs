@@ -12,6 +12,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Through
 
 use fc_sample::{run_sampled, SamplePlan};
 use fc_sim::{DesignSpec, SimConfig, Simulation};
+use fc_sweep::RunScale;
 use fc_trace::{TraceGenerator, WorkloadKind};
 
 const WARMUP: u64 = 400_000;
@@ -25,7 +26,9 @@ fn bench_sampling(c: &mut Criterion) {
     group.throughput(Throughput::Elements(WARMUP + MEASURED));
     group.sample_size(10);
 
-    for design in [DesignSpec::page(8), DesignSpec::footprint(8)] {
+    let designs = [DesignSpec::page(8), DesignSpec::footprint(8)];
+    let comparable = RunScale::comparable_capacity(&designs);
+    for design in designs {
         group.bench_with_input(
             BenchmarkId::new("full", design.label()),
             &design,
@@ -46,7 +49,7 @@ fn bench_sampling(c: &mut Criterion) {
                 let plan = SamplePlan::for_run_scaled(
                     WARMUP,
                     MEASURED,
-                    design.capacity_mb().unwrap_or(64),
+                    RunScale::sizing_capacity(&design, comparable),
                     design.warm_scale(),
                 );
                 b.iter(|| {

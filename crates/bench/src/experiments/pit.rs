@@ -39,9 +39,9 @@ pub fn pit(lab: &mut Lab) -> String {
     // Two fresh engines (fresh memo stores) so each side actually
     // simulates; both share pre-synthesized traces, so neither
     // timing pays for synthesis.
-    let budget = grid.max_records().min(20_000_000) as usize;
+    let (entry, aggregate) = grid.trace_budgets();
     let seq_engine = SweepEngine::new()
-        .with_trace_budget(budget)
+        .with_trace_budgets(entry, aggregate)
         .with_threads(1)
         .quiet();
     grid.prefetch_traces(&seq_engine);
@@ -50,7 +50,7 @@ pub fn pit(lab: &mut Lab) -> String {
     let seq_secs = started.elapsed().as_secs_f64();
 
     let pit_engine = SweepEngine::new()
-        .with_trace_budget(budget)
+        .with_trace_budgets(entry, aggregate)
         .with_threads(workers)
         .quiet();
     grid.prefetch_traces(&pit_engine);

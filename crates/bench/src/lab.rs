@@ -98,22 +98,24 @@ impl Lab {
             .with_seed(self.base_seed)
     }
 
-    /// The fully specified sweep point for `(workload, design)`.
+    /// The fully specified sweep point for `(workload, design)`, sized
+    /// as [`SweepSpec::point`] sizes a lone point.
     fn point(&self, workload: WorkloadKind, design: DesignSpec) -> SweepPoint {
-        SweepPoint {
-            workload,
-            design,
-            config: self.config,
-            scale: self.scale,
-            base_seed: self.base_seed,
-        }
+        self.spec().point(workload, design).points()[0]
     }
 
     /// Runs the `workloads × designs` grid in parallel, warming the
-    /// memo store so subsequent [`run`](Lab::run) calls are lookups.
+    /// memo store so subsequent [`run`](Lab::run) calls are lookups:
+    /// every point is added alone, so a capacity-independent design is
+    /// sized exactly as `run` reads it back.
     pub fn prefetch(&mut self, workloads: &[WorkloadKind], designs: &[DesignSpec]) {
-        let spec = self.spec().grid(workloads, designs).dedup();
-        self.prefetch_spec(&spec);
+        let mut spec = self.spec();
+        for &workload in workloads {
+            for &design in designs {
+                spec = spec.point(workload, design);
+            }
+        }
+        self.prefetch_spec(&spec.dedup());
     }
 
     /// Runs an explicit spec through the engine (parallel, memoized).
@@ -172,6 +174,27 @@ mod tests {
         }
         assert_eq!(lab.runs_executed(), 4, "reads resolved from the store");
         assert!(lab.memo_hits() >= 4);
+    }
+
+    #[test]
+    fn prefetched_capacity_less_designs_are_read_back_from_the_store() {
+        // At a capacity-scaled sizing, a grid sizes its baseline by its
+        // smallest cached capacity; the lab sizes both sides alone.
+        let mut lab = Lab::new(RunScale {
+            warmup_base: 500,
+            warmup_per_mb: 10,
+            measured_base: 500,
+            measured_per_mb: 10,
+        })
+        .quiet();
+        lab.prefetch(
+            &[WorkloadKind::WebSearch],
+            &[DesignSpec::baseline(), DesignSpec::footprint(8)],
+        );
+        assert_eq!(lab.runs_executed(), 2);
+        lab.run(WorkloadKind::WebSearch, DesignSpec::baseline());
+        lab.run(WorkloadKind::WebSearch, DesignSpec::footprint(8));
+        assert_eq!(lab.runs_executed(), 2, "reads resolved from the store");
     }
 
     #[test]

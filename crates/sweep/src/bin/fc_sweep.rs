@@ -370,10 +370,10 @@ impl Args {
     /// The engine every grid kind and serve run on: worker count
     /// (0 clamps to 1), progress output, `--store` (when `durable`) and
     /// the trace budget, resolved in one place.
-    fn engine(&self, trace_budget: Option<usize>, durable: bool) -> SweepEngine {
+    fn engine(&self, trace_budgets: Option<(usize, usize)>, durable: bool) -> SweepEngine {
         let mut engine = SweepEngine::new();
-        if let Some(budget) = trace_budget {
-            engine = engine.with_trace_budget(budget);
+        if let Some((entry, aggregate)) = trace_budgets {
+            engine = engine.with_trace_budgets(entry, aggregate);
         }
         if let Some(n) = self.threads {
             engine = engine.with_threads(n);
@@ -422,8 +422,9 @@ trait GridKind {
 
     /// Prints the grid's points (`--list`).
     fn list(&self);
-    /// Trace-cache records the grid needs beyond the default budget.
-    fn trace_budget(&self) -> Option<usize> {
+    /// Trace-cache records (per entry, aggregate) the grid needs
+    /// beyond the default budgets.
+    fn trace_budgets(&self) -> Option<(usize, usize)> {
         None
     }
     /// Whether `--store` backs this grid's results.
@@ -457,7 +458,7 @@ fn drive<G: GridKind>(args: &Args, obs: &ObsOut, kind: G) {
         kind.list();
         return;
     }
-    let engine = args.engine(kind.trace_budget(), G::DURABLE);
+    let engine = args.engine(kind.trace_budgets(), G::DURABLE);
     let workers = engine.threads();
     eprintln!("[fc_sweep] {}", kind.start_line(workers));
     kind.prepare(&engine, true);
@@ -476,8 +477,8 @@ fn drive<G: GridKind>(args: &Args, obs: &ObsOut, kind: G) {
     if args.speedup {
         // Fresh engine, fresh stores: a true sequential baseline.
         let mut seq_engine = SweepEngine::new();
-        if let Some(budget) = kind.trace_budget() {
-            seq_engine = seq_engine.with_trace_budget(budget);
+        if let Some((entry, aggregate)) = kind.trace_budgets() {
+            seq_engine = seq_engine.with_trace_budgets(entry, aggregate);
         }
         let seq_engine = seq_engine.with_threads(1).quiet();
         kind.prepare(&seq_engine, false);
@@ -692,15 +693,10 @@ impl GridKind for SampledRun {
     }
 
     /// The fast path skips by slice arithmetic: the shared trace cache
-    /// must hold the grid's longest run (capped so a huge grid cannot
-    /// ask for unbounded memory — longer runs stream).
-    fn trace_budget(&self) -> Option<usize> {
-        Some(
-            self.grid
-                .max_records()
-                .min(20_000_000)
-                .max(fc_sweep::TraceCache::DEFAULT_BUDGET as u64) as usize,
-        )
+    /// must hold every trace of the grid at its longest run
+    /// ([`SampledGrid::trace_budgets`]).
+    fn trace_budgets(&self) -> Option<(usize, usize)> {
+        Some(self.grid.trace_budgets())
     }
 
     fn start_line(&self, workers: usize) -> String {

@@ -59,7 +59,7 @@ impl Record for SweepResult {
         let rep = &*self.report;
         w.text("workload", p.workload.name());
         w.text("design", &p.design.label());
-        w.u64("capacity_mb", p.capacity_mb());
+        w.u64("capacity_mb", p.sizing_mb);
         w.u64("seed", p.seed());
         w.u64("warmup_records", p.warmup());
         w.u64("measured_records", p.measured());
@@ -103,7 +103,7 @@ impl Record for SampledResult {
         let plan = &rep.plan;
         w.text("workload", p.workload.name());
         w.text("design", &p.design.label());
-        w.u64("capacity_mb", p.capacity_mb());
+        w.u64("capacity_mb", p.sizing_mb);
         w.u64("seed", p.seed());
         w.u64("warmup_records", p.warmup());
         w.u64("measured_records_total", p.measured());
@@ -146,7 +146,7 @@ impl Record for MixResult {
         let rep = &*self.report;
         w.text("scenario", &p.scenario.name);
         w.text("design", &p.design.label());
-        w.u64("capacity_mb", p.capacity_mb());
+        w.u64("capacity_mb", p.sizing_mb);
         w.u64("seed", p.seed());
         w.u64("warmup_records", p.warmup());
         w.u64("measured_records", p.measured());

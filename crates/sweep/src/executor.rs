@@ -95,8 +95,18 @@ impl SweepEngine {
     }
 
     /// Caps the per-workload trace cache at `budget_records` records.
-    pub fn with_trace_budget(mut self, budget_records: usize) -> Self {
-        self.traces = Arc::new(TraceCache::new(budget_records));
+    pub fn with_trace_budget(self, budget_records: usize) -> Self {
+        self.with_trace_budgets(budget_records, budget_records.saturating_mul(3))
+    }
+
+    /// Caps the trace cache at `budget_records` records per workload
+    /// and `aggregate_records` across workloads
+    /// ([`TraceCache::with_aggregate_budget`]).
+    pub fn with_trace_budgets(mut self, budget_records: usize, aggregate_records: usize) -> Self {
+        self.traces = Arc::new(TraceCache::with_aggregate_budget(
+            budget_records,
+            aggregate_records,
+        ));
         self.traces.set_workers(self.threads);
         self
     }

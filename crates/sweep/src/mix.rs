@@ -48,6 +48,10 @@ pub struct MixPoint {
     pub config: SimConfig,
     /// Run sizing.
     pub scale: RunScale,
+    /// Stacked capacity in MB the run is sized by: the design's own,
+    /// or for a capacity-independent design its grid's
+    /// [`comparable capacity`](RunScale::comparable_capacity).
+    pub sizing_mb: u64,
     /// Base seed the per-point seed is derived from.
     pub base_seed: u64,
 }
@@ -62,19 +66,14 @@ impl MixPoint {
         self.base_seed ^ PointKey::from_canonical(self.scenario.to_json()).hash64()
     }
 
-    /// Stacked capacity in MB used for run sizing.
-    pub fn capacity_mb(&self) -> u64 {
-        RunScale::sizing_capacity(self.design.capacity_mb())
-    }
-
     /// Warmup records for this point.
     pub fn warmup(&self) -> u64 {
-        self.scale.warmup(self.capacity_mb())
+        self.scale.warmup(self.sizing_mb)
     }
 
     /// Measured records for this point.
     pub fn measured(&self) -> u64 {
-        self.scale.measured(self.capacity_mb())
+        self.scale.measured(self.sizing_mb)
     }
 
     /// Human-readable label (progress lines, result emitters).
@@ -83,16 +82,19 @@ impl MixPoint {
     }
 
     /// The canonical text encoding of everything that influences this
-    /// point's result (scenario JSON + design JSON + pod config + scale
-    /// + seed). Distinct configurations never alias.
+    /// point's result: scenario JSON, design JSON, pod config, scale and
+    /// seed, plus the sizing capacity where it moves the record counts
+    /// (as in [`SweepPoint::canonical`]). Distinct configurations never
+    /// alias.
     pub fn canonical(&self) -> String {
         format!(
-            "mix|{}|{}|{:?}|{:?}|{}",
+            "mix|{}|{}|{:?}|{:?}|{}{}",
             self.scenario.to_json(),
             self.design.to_json(),
             self.config,
             self.scale,
-            self.base_seed
+            self.base_seed,
+            self.scale.sizing_key(&self.design, self.sizing_mb)
         )
     }
 
@@ -102,13 +104,15 @@ impl MixPoint {
     }
 
     /// The homogeneous solo point for `workload` on this point's
-    /// design — the baseline the consolidation metrics normalize by.
+    /// design, sized alike — the baseline the consolidation metrics
+    /// normalize by.
     pub fn solo_point(&self, workload: WorkloadKind) -> SweepPoint {
         SweepPoint {
             workload,
             design: self.design,
             config: self.config,
             scale: self.scale,
+            sizing_mb: self.sizing_mb,
             base_seed: self.base_seed,
         }
     }
@@ -153,8 +157,11 @@ impl MixGrid {
         self
     }
 
-    /// The fully specified points, scenario-major in grid order.
+    /// The fully specified points, scenario-major in grid order. A
+    /// capacity-independent design is sized as in
+    /// [`SweepSpec::grid`]: by the smallest capacity among the designs.
     pub fn points(&self) -> Vec<MixPoint> {
+        let comparable = RunScale::comparable_capacity(&self.designs);
         self.scenarios
             .iter()
             .flat_map(|scenario| {
@@ -163,6 +170,7 @@ impl MixGrid {
                     design: *design,
                     config: self.config,
                     scale: self.scale,
+                    sizing_mb: RunScale::sizing_capacity(design, comparable),
                     base_seed: self.base_seed,
                 })
             })
@@ -180,7 +188,7 @@ impl MixGrid {
     }
 
     /// The solo-baseline spec: every distinct workload of every
-    /// scenario crossed with every design.
+    /// scenario crossed with every design, sized as the mix points are.
     pub fn solo_spec(&self) -> SweepSpec {
         let mut workloads: Vec<WorkloadKind> = Vec::new();
         for scenario in &self.scenarios {
@@ -387,6 +395,31 @@ mod tests {
             c.weighted_speedup
         );
         assert!(c.fairness > 0.9, "homogeneous fairness {}", c.fairness);
+    }
+
+    #[test]
+    fn mix_and_solo_baselines_are_sized_alike() {
+        let scale = RunScale {
+            warmup_base: 500,
+            warmup_per_mb: 10,
+            measured_base: 500,
+            measured_per_mb: 10,
+        };
+        let grid = MixGrid::new(
+            vec![ScenarioSpec::homogeneous(WorkloadKind::WebSearch, 4)],
+            vec![DesignSpec::baseline(), DesignSpec::footprint(8)],
+            scale,
+        )
+        .with_config(SimConfig::small());
+        let mix = &grid.points()[0];
+        assert_eq!(mix.design, DesignSpec::baseline());
+        assert_eq!((mix.warmup(), mix.measured()), (580, 580));
+        let solo = grid.solo_spec().points()[0];
+        assert_eq!(solo, mix.solo_point(WorkloadKind::WebSearch));
+        assert_eq!((solo.warmup(), solo.measured()), (580, 580));
+        // `run_mix` finds each core's solo baseline by point equality.
+        let results = run_mix(&grid, &SweepEngine::new().quiet());
+        assert!(results[0].consolidation.weighted_speedup > 0.0);
     }
 
     #[test]

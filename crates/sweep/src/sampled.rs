@@ -20,6 +20,7 @@
 //! skipping only in the long-trace regime, exhaustive warming when
 //! the trace is too short to skip safely.
 
+use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
 
@@ -28,7 +29,7 @@ use fc_sample::{
     IntervalSample, SamplePlan, SampledReport,
 };
 use fc_sim::Simulation;
-use fc_trace::{TraceGenerator, TraceRecord};
+use fc_trace::{TraceGenerator, TraceRecord, WorkloadKind};
 
 use crate::executor::SweepEngine;
 use crate::pool::{self, TaskQueue};
@@ -53,7 +54,7 @@ impl SampledPoint {
         let plan = SamplePlan::for_run_scaled(
             point.warmup(),
             point.measured(),
-            point.capacity_mb(),
+            point.sizing_mb,
             point.design.warm_scale(),
         );
         Self { point, plan }
@@ -129,6 +130,11 @@ impl SampledGrid {
         self.points.is_empty()
     }
 
+    /// The largest per-entry trace budget
+    /// [`trace_budgets`](Self::trace_budgets) asks for, so a huge grid
+    /// cannot ask for unbounded memory.
+    const MAX_TRACE_RECORDS: u64 = 20_000_000;
+
     /// The longest run (warmup + measured records) in the grid — what
     /// the trace-cache budget must hold for the fast slice path.
     pub fn max_records(&self) -> u64 {
@@ -137,6 +143,28 @@ impl SampledGrid {
             .map(|p| p.point.warmup() + p.point.measured())
             .max()
             .unwrap_or(0)
+    }
+
+    /// The trace-cache budgets, in records, that keep every trace of
+    /// the grid resident for the fast slice path: per entry, the
+    /// grid's longest run (at most 20M records — longer runs stream);
+    /// in aggregate, every distinct trace that fits an entry at
+    /// its longest run, plus an eighth for the L2 outcomes a full
+    /// detailed twin attaches. With these,
+    /// [`prefetch_traces`](Self::prefetch_traces) synthesizes each
+    /// trace once and no later run evicts one.
+    pub fn trace_budgets(&self) -> (usize, usize) {
+        let entry = self.max_records().min(Self::MAX_TRACE_RECORDS);
+        let mut longest: HashMap<(WorkloadKind, u8, u64), u64> = HashMap::new();
+        for sp in &self.points {
+            let p = &sp.point;
+            let len = longest
+                .entry((p.workload, p.config.cores, p.seed()))
+                .or_default();
+            *len = (*len).max(p.warmup() + p.measured());
+        }
+        let resident: u64 = longest.into_values().filter(|&len| len <= entry).sum();
+        (entry as usize, (resident + resident / 8) as usize)
     }
 
     /// Synthesizes every point's shared trace into `engine`'s cache up
@@ -496,6 +524,36 @@ mod tests {
             many.trace_cache().records_synthesized(),
             one.trace_cache().records_synthesized(),
             "interval workers re-synthesized trace records"
+        );
+    }
+
+    #[test]
+    fn trace_budgets_hold_every_trace_of_a_wide_grid() {
+        // More workloads than the three entries a per-entry budget's
+        // default aggregate holds: each trace is still synthesized
+        // once, by the prefetch, and never again by the run.
+        let workloads = [
+            WorkloadKind::WebSearch,
+            WorkloadKind::DataServing,
+            WorkloadKind::MapReduce,
+            WorkloadKind::SatSolver,
+            WorkloadKind::WebFrontend,
+        ];
+        let spec = SweepSpec::new(RunScale::tiny())
+            .grid(&workloads, &[DesignSpec::baseline(), DesignSpec::page(64)]);
+        let grid = SampledGrid::auto(&spec);
+        let (entry, aggregate) = grid.trace_budgets();
+        assert_eq!(entry, 4_000);
+        let engine = SweepEngine::new()
+            .with_trace_budgets(entry, aggregate)
+            .with_threads(2)
+            .quiet();
+        grid.prefetch_traces(&engine);
+        run_sampled_grid(&grid, &engine);
+        assert_eq!(
+            engine.trace_cache().records_synthesized(),
+            workloads.len() as u64 * 4_000,
+            "a trace was evicted and synthesized again"
         );
     }
 

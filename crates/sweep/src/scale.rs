@@ -1,5 +1,6 @@
 //! Run sizing: how much simulated work each sweep point performs.
 
+use fc_sim::DesignSpec;
 use serde::{Deserialize, Serialize};
 
 /// How much simulated work each run performs. Warmup and measurement
@@ -21,18 +22,51 @@ pub struct RunScale {
 
 impl RunScale {
     /// Run-sizing capacity (in MB) for capacity-independent designs
-    /// (baseline, ideal): the smallest capacity the paper evaluates, so
-    /// sweeps give those designs run lengths comparable with the
-    /// smallest cached configuration instead of an arbitrary budget.
-    /// This is a *sizing* default only — it never reaches the designs
-    /// themselves (they have no capacity to configure).
+    /// (baseline, ideal) that share a grid with no cached design — a
+    /// lone [`SweepSpec::point`](crate::SweepSpec::point), a `Lab::run`
+    /// read, a capacity-less grid: the smallest capacity the paper
+    /// evaluates. In a grid with cached designs they are sized by the
+    /// smallest of those instead ([`comparable_capacity`](Self::comparable_capacity)),
+    /// so they replay the same records as the cached configurations
+    /// they are compared with. This is a *sizing* capacity only — it
+    /// never reaches the designs themselves (they have no capacity to
+    /// configure).
     pub const COMPARABLE_CAPACITY_MB: u64 = 64;
 
-    /// The capacity used for run sizing: the design's own capacity, or
-    /// [`COMPARABLE_CAPACITY_MB`](Self::COMPARABLE_CAPACITY_MB) for
-    /// capacity-independent designs.
-    pub fn sizing_capacity(capacity_mb: Option<u64>) -> u64 {
-        capacity_mb.unwrap_or(Self::COMPARABLE_CAPACITY_MB)
+    /// The capacity a grid of `designs` sizes its capacity-independent
+    /// designs by: the smallest capacity among `designs`, or
+    /// [`COMPARABLE_CAPACITY_MB`](Self::COMPARABLE_CAPACITY_MB) when
+    /// none has one.
+    pub fn comparable_capacity(designs: &[DesignSpec]) -> u64 {
+        designs
+            .iter()
+            .filter_map(DesignSpec::capacity_mb)
+            .min()
+            .unwrap_or(Self::COMPARABLE_CAPACITY_MB)
+    }
+
+    /// The capacity `design`'s run is sized by in a grid whose
+    /// [`comparable_capacity`](Self::comparable_capacity) is
+    /// `comparable`: the design's own capacity, or `comparable` for a
+    /// capacity-independent design.
+    pub fn sizing_capacity(design: &DesignSpec, comparable: u64) -> u64 {
+        design.capacity_mb().unwrap_or(comparable)
+    }
+
+    /// What a point key appends for a run of `design` sized at
+    /// `sizing_mb`: nothing where that sizing gives the warm-up and
+    /// measured record counts sizing the design alone would (the
+    /// design's own spec carries everything else, so such keys stay
+    /// as they always were), `|sized {sizing_mb}MB` otherwise.
+    pub fn sizing_key(&self, design: &DesignSpec, sizing_mb: u64) -> String {
+        let alone = Self::sizing_capacity(design, Self::COMPARABLE_CAPACITY_MB);
+        if (self.warmup(sizing_mb), self.measured(sizing_mb))
+            == (self.warmup(alone), self.measured(alone))
+        {
+            String::new()
+        } else {
+            format!("|sized {sizing_mb}MB")
+        }
     }
 
     /// The scale called `name` (`quick`, `full`, `tiny` or `long`).
@@ -124,7 +158,27 @@ mod tests {
 
     #[test]
     fn sizing_defaults_capacity_less_designs_to_the_smallest_evaluated() {
-        assert_eq!(RunScale::sizing_capacity(None), 64);
-        assert_eq!(RunScale::sizing_capacity(Some(256)), 256);
+        let grid = [
+            DesignSpec::baseline(),
+            DesignSpec::page(256),
+            DesignSpec::footprint(8),
+        ];
+        let comparable = RunScale::comparable_capacity(&grid);
+        assert_eq!(comparable, 8);
+        assert_eq!(RunScale::sizing_capacity(&grid[0], comparable), 8);
+        assert_eq!(RunScale::sizing_capacity(&grid[1], comparable), 256);
+        let alone = RunScale::comparable_capacity(&[DesignSpec::ideal()]);
+        assert_eq!(alone, RunScale::COMPARABLE_CAPACITY_MB);
+    }
+
+    #[test]
+    fn only_a_sizing_that_moves_the_counts_enters_the_key() {
+        let baseline = DesignSpec::baseline();
+        assert_eq!(RunScale::tiny().sizing_key(&baseline, 8), "");
+        assert_eq!(RunScale::long().sizing_key(&baseline, 64), "");
+        assert_eq!(RunScale::long().sizing_key(&baseline, 8), "|sized 8MB");
+        // A cached design is sized by its own capacity, which its spec
+        // already carries.
+        assert_eq!(RunScale::long().sizing_key(&DesignSpec::page(8), 8), "");
     }
 }

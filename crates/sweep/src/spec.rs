@@ -52,6 +52,10 @@ pub struct SweepPoint {
     pub config: SimConfig,
     /// Run sizing.
     pub scale: RunScale,
+    /// Stacked capacity in MB the run is sized by: the design's own,
+    /// or for a capacity-independent design its grid's
+    /// [`comparable capacity`](RunScale::comparable_capacity).
+    pub sizing_mb: u64,
     /// Base seed the per-point seed is derived from.
     pub base_seed: u64,
 }
@@ -65,21 +69,14 @@ impl SweepPoint {
         self.base_seed ^ (self.workload as u64) << 8
     }
 
-    /// Stacked capacity in MB used for run sizing. Capacity-independent
-    /// designs (baseline, ideal) size their runs with
-    /// [`RunScale::COMPARABLE_CAPACITY_MB`].
-    pub fn capacity_mb(&self) -> u64 {
-        RunScale::sizing_capacity(self.design.capacity_mb())
-    }
-
     /// Warmup records for this point.
     pub fn warmup(&self) -> u64 {
-        self.scale.warmup(self.capacity_mb())
+        self.scale.warmup(self.sizing_mb)
     }
 
     /// Measured records for this point.
     pub fn measured(&self) -> u64 {
-        self.scale.measured(self.capacity_mb())
+        self.scale.measured(self.sizing_mb)
     }
 
     /// Human-readable label (progress lines, result emitters).
@@ -90,16 +87,20 @@ impl SweepPoint {
     /// The canonical text encoding of everything that influences this
     /// point's result. The design contributes its canonical JSON spec
     /// (every cache parameter and DRAM override); the `Debug` forms
-    /// cover the pod config and the scale. Distinct configurations
-    /// never alias.
+    /// cover the pod config and the scale. The sizing capacity is
+    /// appended only where it moves the record counts
+    /// ([`RunScale::sizing_key`]), so a point sized as it would be
+    /// alone keeps its historical key. Distinct configurations never
+    /// alias.
     pub fn canonical(&self) -> String {
         format!(
-            "{:?}|{}|{:?}|{:?}|{}",
+            "{:?}|{}|{:?}|{:?}|{}{}",
             self.workload,
             self.design.to_json(),
             self.config,
             self.scale,
-            self.base_seed
+            self.base_seed,
+            self.scale.sizing_key(&self.design, self.sizing_mb)
         )
     }
 
@@ -162,26 +163,32 @@ impl SweepSpec {
         self
     }
 
-    /// Appends the full cross product `workloads × designs`.
+    /// Appends the full cross product `workloads × designs`. A
+    /// capacity-independent design is sized by the smallest capacity
+    /// among `designs` ([`RunScale::comparable_capacity`]), so it
+    /// replays the records the cached designs it is compared with do.
     pub fn grid(mut self, workloads: &[WorkloadKind], designs: &[DesignSpec]) -> Self {
+        let comparable = RunScale::comparable_capacity(designs);
         for &workload in workloads {
             for &design in designs {
-                self = self.point(workload, design);
+                self.points.push(SweepPoint {
+                    workload,
+                    design,
+                    config: self.config,
+                    scale: self.scale,
+                    sizing_mb: RunScale::sizing_capacity(&design, comparable),
+                    base_seed: self.base_seed,
+                });
             }
         }
         self
     }
 
-    /// Appends a single point.
-    pub fn point(mut self, workload: WorkloadKind, design: DesignSpec) -> Self {
-        self.points.push(SweepPoint {
-            workload,
-            design,
-            config: self.config,
-            scale: self.scale,
-            base_seed: self.base_seed,
-        });
-        self
+    /// Appends a single point: a grid of one, so a
+    /// capacity-independent design is sized at
+    /// [`RunScale::COMPARABLE_CAPACITY_MB`].
+    pub fn point(self, workload: WorkloadKind, design: DesignSpec) -> Self {
+        self.grid(&[workload], &[design])
     }
 
     /// Removes duplicate points (same key), keeping first occurrences.
@@ -255,6 +262,83 @@ mod tests {
             SweepSpec::new(RunScale::tiny()).point(WorkloadKind::WebSearch, DesignSpec::baseline());
         let p = &spec.points()[0];
         assert_eq!(p.seed(), 42 ^ (WorkloadKind::WebSearch as u64) << 8);
+    }
+
+    /// The registry's families at `capacities`, as a designspace grid
+    /// resolves them.
+    fn designspace(capacities: &[u64]) -> Vec<DesignSpec> {
+        let names: Vec<&str> = DESIGN_FAMILIES.iter().map(|f| f.name).collect();
+        fc_sim::resolve_designs(&names.join(","), capacities).expect("registry resolves")
+    }
+
+    /// The key of `label`'s Web Search point in a designspace grid.
+    fn key_of(scale: RunScale, capacities: &[u64], label: &str) -> u64 {
+        let spec = SweepSpec::new(scale).grid(&[WorkloadKind::WebSearch], &designspace(capacities));
+        let point = spec.points().iter().find(|p| p.design.label() == label);
+        point.expect("design in the grid").key().hash64()
+    }
+
+    #[test]
+    fn keys_of_grids_sized_as_before_are_pinned() {
+        // Computed before capacity-less designs took their grid's
+        // smallest capacity: a 64 MB-floored grid (serve's memo grid,
+        // the full-scale designspace) and a tiny grid, whose counts do
+        // not scale with capacity, keep these keys.
+        let pinned: [(RunScale, &[u64], &str, u64); 9] = [
+            (
+                RunScale::quick(),
+                &[64, 128],
+                "Baseline",
+                0x5aec2dd92bc4dab4,
+            ),
+            (RunScale::quick(), &[64, 128], "Ideal", 0x52668b47fcd10607),
+            (
+                RunScale::quick(),
+                &[64, 128],
+                "Footprint 64MB",
+                0x4d5934971c1939a6,
+            ),
+            (RunScale::full(), &[64], "Baseline", 0x0dc7b833610d8f43),
+            (RunScale::full(), &[64], "Ideal", 0x2f7b6ad09d1b47bc),
+            (
+                RunScale::full(),
+                &[64],
+                "Footprint 64MB",
+                0x4010d7f3695aed79,
+            ),
+            (RunScale::tiny(), &[8], "Baseline", 0xc2391c4bfbdfb088),
+            (RunScale::tiny(), &[8], "Ideal", 0xaaf420ae5c734a1d),
+            (RunScale::tiny(), &[8], "Footprint 8MB", 0x663a741ebda52b99),
+        ];
+        for (scale, capacities, label, key) in pinned {
+            assert_eq!(
+                key_of(scale, capacities, label),
+                key,
+                "{label} at {capacities:?} {scale:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn capacity_less_designs_are_sized_by_the_grids_smallest_capacity() {
+        let spec = SweepSpec::new(RunScale::long())
+            .grid(&[WorkloadKind::WebSearch], &designspace(&[8]))
+            .point(WorkloadKind::WebSearch, DesignSpec::baseline());
+        let baseline = spec.points()[0];
+        assert_eq!(baseline.design, DesignSpec::baseline());
+        assert_eq!(baseline.sizing_mb, 8);
+        assert_eq!(
+            (baseline.warmup(), baseline.measured()),
+            (400_000, 4_000_000)
+        );
+        // A lone point keeps the historical sizing.
+        let alone = spec.points().last().expect("the lone point");
+        assert_eq!((alone.warmup(), alone.measured()), (1_800_000, 18_000_000));
+        assert_ne!(baseline.key(), alone.key());
+        assert_ne!(
+            key_of(RunScale::long(), &[8], "Baseline"),
+            key_of(RunScale::long(), &[64], "Baseline")
+        );
     }
 
     #[test]

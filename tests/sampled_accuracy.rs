@@ -9,10 +9,11 @@
 //!   near-noiseless metrics the Student-t CI can be narrower than the
 //!   frame's irreducible offset). Hit-ratio estimates land within
 //!   `max(CI, 0.02)` of the full run.
-//! * **Work bound** — at the long-trace scale the auto plans replay at
-//!   most a fifth of the records across the design space, the
-//!   deterministic bound behind the ≥5x end-to-end speedup
-//!   `BENCH_sample.json` demonstrates.
+//! * **Work bound** — at the long-trace scale each auto plan replays at
+//!   most a fifth of its records (35% for Footprint, whose predictor
+//!   doubles the warm windows; Banshee warms exhaustively), the
+//!   deterministic bound behind the end-to-end speedup
+//!   `BENCH_sample.json` reports.
 //! * **Determinism** — sampled grids are bit-identical for any worker
 //!   thread count, and the streaming trace path matches the cached
 //!   slice path bit for bit.
@@ -116,27 +117,36 @@ fn sampled_estimates_hold_on_a_second_workload() {
 }
 
 #[test]
-fn auto_plans_clear_the_5x_work_bound_at_long_scale() {
-    // The deterministic bound behind the wall-clock speedup: across
-    // the design space at the long-trace scale, the auto plans replay
-    // at most a fifth of the records a full detailed sweep would.
+fn auto_plans_bound_each_points_replay_at_long_scale() {
+    // The deterministic bound behind the wall-clock speedup, per plan:
+    // at the long-trace scale a design with a page cache's state
+    // memory (warm scale 1) or none (sized by the grid's smallest
+    // capacity) replays at most a fifth of its records, Footprint's
+    // doubled warm windows at most 35%, and Banshee, whose frequency
+    // counters out-live any skippable window, replays everything.
     let spec = SweepSpec::new(RunScale::long())
         .grid(&[WorkloadKind::WebSearch], &all_families())
         .dedup();
-    let grid = SampledGrid::auto(&spec);
-    let mut replayed = 0.0;
-    let mut total = 0.0;
-    for sp in grid.points() {
-        let (w, m) = (sp.point.warmup(), sp.point.measured());
-        replayed += sp.plan.replayed_fraction(w, m) * (w + m) as f64;
-        total += (w + m) as f64;
+    for sp in SampledGrid::auto(&spec).points() {
+        let design = sp.point.design;
+        let fraction = sp
+            .plan
+            .replayed_fraction(sp.point.warmup(), sp.point.measured());
+        let label = design.label();
+        match design.warm_scale() {
+            0 | 1 => assert!(
+                fraction <= 0.20,
+                "{label} replays {:.1}% of its records (bound: 20%)",
+                100.0 * fraction
+            ),
+            2 => assert!(
+                fraction <= 0.35,
+                "{label} replays {:.1}% of its records (bound: 35%)",
+                100.0 * fraction
+            ),
+            _ => assert_eq!(sp.plan.skip(), 0, "{label} must warm exhaustively"),
+        }
     }
-    assert!(
-        replayed <= total / 5.0,
-        "auto plans replay {:.1}% of the long-scale design space \
-         (bound: 20%)",
-        100.0 * replayed / total
-    );
 }
 
 #[test]
