@@ -12,8 +12,8 @@
 
 use fc_types::{BlockAddr, MemAccess, PhysAddr};
 
-use crate::design::{DramCacheModel, DramCacheStats, StorageItem};
-use crate::plan::{AccessPlan, BlockCounts, MemOp, MemTarget, OpSink};
+use crate::design::{DramCacheStats, StorageItem};
+use crate::plan::{MemOp, MemTarget, OpSink};
 
 /// Bytes per TAD unit: a 64-byte data block plus an 8-byte tag.
 const TAD_BYTES: u64 = 72;
@@ -83,8 +83,9 @@ impl AlloyCache {
     fn block_of(&self, index: usize, tag: u64) -> BlockAddr {
         BlockAddr::new(tag * self.slots.len() as u64 + index as u64)
     }
+}
 
-    /// The demand-access transition, for either sink.
+impl crate::CacheDesign for AlloyCache {
     fn access_into(&mut self, req: MemAccess, sink: &mut impl OpSink) {
         self.stats.accesses += 1;
         let block = req.addr.block();
@@ -128,7 +129,6 @@ impl AlloyCache {
         ));
     }
 
-    /// The L2-writeback transition, for either sink.
     fn writeback_into(&mut self, addr: PhysAddr, sink: &mut impl OpSink) {
         let block = addr.block();
         let (index, tag) = self.decompose(block);
@@ -146,36 +146,18 @@ impl AlloyCache {
             sink.background(MemOp::write(MemTarget::OffChip, block.base(), 1));
         }
     }
-}
-
-impl DramCacheModel for AlloyCache {
-    fn access(&mut self, req: MemAccess) -> AccessPlan {
-        AccessPlan::build(|plan| self.access_into(req, plan)).tally(&mut self.stats)
-    }
-
-    fn writeback(&mut self, addr: PhysAddr) -> AccessPlan {
-        AccessPlan::build(|plan| self.writeback_into(addr, plan)).tally(&mut self.stats)
-    }
-
-    fn warm_access(&mut self, req: MemAccess) {
-        BlockCounts::build(|counts| self.access_into(req, counts)).tally(&mut self.stats);
-    }
-
-    fn warm_writeback(&mut self, addr: PhysAddr) {
-        BlockCounts::build(|counts| self.writeback_into(addr, counts)).tally(&mut self.stats);
-    }
 
     fn stats(&self) -> &DramCacheStats {
         &self.stats
     }
 
+    fn stats_mut(&mut self) -> &mut DramCacheStats {
+        &mut self.stats
+    }
+
     fn storage(&self) -> Vec<StorageItem> {
         // Tags live in the stacked DRAM: no logic-die SRAM at all.
         Vec::new()
-    }
-
-    fn name(&self) -> &'static str {
-        "Alloy"
     }
 }
 
@@ -183,6 +165,7 @@ impl DramCacheModel for AlloyCache {
 mod tests {
     use super::*;
     use crate::plan::OpFlavor;
+    use crate::DramCacheModel;
     use fc_types::Pc;
 
     fn read(addr: u64) -> MemAccess {

@@ -13,9 +13,9 @@
 
 use fc_types::{BlockAddr, MemAccess, PhysAddr};
 
-use crate::design::{DramCacheModel, DramCacheStats, StorageItem};
+use crate::design::{DramCacheStats, StorageItem};
 use crate::missmap::MissMap;
-use crate::plan::{AccessPlan, BlockCounts, MemOp, MemTarget, OpSink};
+use crate::plan::{MemOp, MemTarget, OpSink};
 use crate::setassoc::SetAssoc;
 
 /// Data blocks per 2 KB DRAM row (set): 30 data + 2 tag blocks.
@@ -92,8 +92,9 @@ impl BlockBasedCache {
             self.missmap.clear_present(block);
         }
     }
+}
 
-    /// The demand-access transition, for either sink.
+impl crate::CacheDesign for BlockBasedCache {
     fn access_into(&mut self, req: MemAccess, sink: &mut impl OpSink) {
         self.stats.accesses += 1;
         let block = req.addr.block();
@@ -152,7 +153,6 @@ impl BlockBasedCache {
         }
     }
 
-    /// The L2-writeback transition, for either sink.
     fn writeback_into(&mut self, addr: PhysAddr, sink: &mut impl OpSink) {
         let block = addr.block();
         let (set, tag) = self.decompose(block);
@@ -172,27 +172,13 @@ impl BlockBasedCache {
         // Not cached: write through to memory without allocating.
         sink.background(MemOp::write(MemTarget::OffChip, block.base(), 1));
     }
-}
-
-impl DramCacheModel for BlockBasedCache {
-    fn access(&mut self, req: MemAccess) -> AccessPlan {
-        AccessPlan::build(|plan| self.access_into(req, plan)).tally(&mut self.stats)
-    }
-
-    fn writeback(&mut self, addr: PhysAddr) -> AccessPlan {
-        AccessPlan::build(|plan| self.writeback_into(addr, plan)).tally(&mut self.stats)
-    }
-
-    fn warm_access(&mut self, req: MemAccess) {
-        BlockCounts::build(|counts| self.access_into(req, counts)).tally(&mut self.stats);
-    }
-
-    fn warm_writeback(&mut self, addr: PhysAddr) {
-        BlockCounts::build(|counts| self.writeback_into(addr, counts)).tally(&mut self.stats);
-    }
 
     fn stats(&self) -> &DramCacheStats {
         &self.stats
+    }
+
+    fn stats_mut(&mut self) -> &mut DramCacheStats {
+        &mut self.stats
     }
 
     fn storage(&self) -> Vec<StorageItem> {
@@ -202,15 +188,12 @@ impl DramCacheModel for BlockBasedCache {
             latency_cycles: self.missmap.latency_cycles(),
         }]
     }
-
-    fn name(&self) -> &'static str {
-        "Block-based"
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::DramCacheModel;
     use fc_types::Pc;
 
     fn read(addr: u64) -> MemAccess {

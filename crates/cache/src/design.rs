@@ -1,11 +1,12 @@
-//! The [`DramCacheModel`] trait and shared statistics.
+//! The [`CacheDesign`] trait design authors implement, the
+//! [`DramCacheModel`] face the simulator drives, and shared statistics.
 
 use serde::{Deserialize, Serialize};
 
 use fc_types::{MemAccess, PhysAddr};
 
 use crate::metrics::PredictionCounters;
-use crate::plan::AccessPlan;
+use crate::plan::{AccessPlan, BlockCounts, OpSink};
 
 /// Latency in core cycles of an SRAM structure of the given size.
 ///
@@ -165,55 +166,71 @@ impl DramCacheStats {
 /// enter a `MemorySystem`.
 pub type BoxedModel = Box<dyn DramCacheModel + Send + Sync>;
 
-/// Object-safe cloning for boxed design models.
-///
-/// Checkpointable simulation (the parallel-in-time sampler) clones a
-/// [`BoxedModel`] without knowing the concrete type; `BoxedModel`'s
-/// `Clone` impl calls this trait. Every `Clone + Send + Sync` model
-/// gets it for free via the blanket impl; design authors never
-/// implement it by hand: they `#[derive(Clone)]` and the supertrait
-/// bound is satisfied.
-pub trait CloneModel {
-    /// Clones the model behind a fresh box.
-    fn clone_model(&self) -> BoxedModel;
-}
-
-impl<T: DramCacheModel + Clone + Send + Sync + 'static> CloneModel for T {
-    fn clone_model(&self) -> BoxedModel {
-        Box::new(self.clone())
-    }
-}
-
 impl Clone for BoxedModel {
     fn clone(&self) -> Self {
         self.clone_model()
     }
 }
 
-/// A die-stacked DRAM cache design.
+/// A die-stacked DRAM cache design, as its author writes it.
 ///
-/// Implementations are purely functional models: they maintain their own
-/// tag/metadata state and translate each request into an [`AccessPlan`];
-/// timing and energy fall out of executing plans against the DRAM models.
-/// Models must also be cheaply cloneable ([`CloneModel`], free with
-/// `#[derive(Clone)]`) so engine state can be checkpointed at interval
-/// boundaries.
+/// A design is a purely functional model: it keeps its own tag and
+/// metadata state and writes its demand and writeback transitions
+/// once, generic over an [`OpSink`]. Timing and energy fall out of
+/// executing the ops against the DRAM models. The blanket
+/// [`DramCacheModel`] impl supplies everything else: which sink each
+/// replay mode uses, tallying the traffic into
+/// [`stats_mut`](Self::stats_mut), and checkpoint cloning (free with
+/// `#[derive(Clone)]`).
 ///
-/// A design writes its demand and writeback transitions once, as
-/// inherent fns generic over an [`OpSink`](crate::OpSink), and the four
-/// transition methods are wrappers that pick the sink:
-/// `access`/`writeback` run the body over an [`AccessPlan`],
-/// `warm_access`/`warm_writeback` over [`BlockCounts`](crate::BlockCounts).
-/// Both then [`tally`](crate::OpSink::tally) the traffic into
+/// Callers drive a design through [`DramCacheModel`], whose `stats`,
+/// `storage` and `prediction_counters` share these methods' names; a
+/// module that calls them on a concrete design should import only
+/// `DramCacheModel`, which is why the designs here implement this trait
+/// by path (`impl fc_cache::CacheDesign for MyDesign`).
+pub trait CacheDesign: Clone + Send + Sync + 'static {
+    /// The demand-access transition (a read or write that missed in the
+    /// L2): updates tags, replacement, metadata and the demand counters
+    /// of [`stats_mut`](Self::stats_mut), and pushes its DRAM ops into
+    /// `sink`.
+    fn access_into(&mut self, req: MemAccess, sink: &mut impl OpSink);
+
+    /// The transition for a dirty-block writeback evicted from the L2.
+    /// Writebacks carry no PC (Section 7: evictions from upper levels
+    /// are not tracked) and never stall the core.
+    fn writeback_into(&mut self, addr: PhysAddr, sink: &mut impl OpSink);
+
+    /// Accumulated statistics.
+    fn stats(&self) -> &DramCacheStats;
+
+    /// The statistics the transitions and the traffic tally update.
+    fn stats_mut(&mut self) -> &mut DramCacheStats;
+
+    /// The SRAM structures this design requires (Table 4).
+    fn storage(&self) -> Vec<StorageItem>;
+
+    /// Footprint-prediction counters, for designs that predict (only
+    /// Footprint Cache). Defaults to `None`.
+    fn prediction_counters(&self) -> Option<PredictionCounters> {
+        None
+    }
+}
+
+/// A design as the simulator drives it: the object-safe face of every
+/// [`CacheDesign`], boxed as [`BoxedModel`].
+///
+/// Detailed replay calls `access`/`writeback`, which run the design's
+/// transition over an [`AccessPlan`]; functional warm-up calls
+/// `warm_access`/`warm_writeback`, which run the same transition over
+/// [`BlockCounts`]. Both then [`tally`](OpSink::tally) the traffic into
 /// the design's stats, so the two paths leave identical state and
-/// counters by construction.
-pub trait DramCacheModel: CloneModel {
+/// counters by construction. The one blanket impl below is the only
+/// impl: authors implement [`CacheDesign`].
+pub trait DramCacheModel {
     /// Handles a demand access (a read or write that missed in the L2).
     fn access(&mut self, req: MemAccess) -> AccessPlan;
 
-    /// Handles a dirty-block writeback evicted from the L2. Writebacks
-    /// carry no PC (Section 7: evictions from upper levels are not
-    /// tracked) and never stall the core.
+    /// Handles a dirty-block writeback evicted from the L2.
     fn writeback(&mut self, addr: PhysAddr) -> AccessPlan;
 
     /// Functional-warm-up counterpart of [`access`](Self::access): the
@@ -231,13 +248,46 @@ pub trait DramCacheModel: CloneModel {
     /// The SRAM structures this design requires (Table 4).
     fn storage(&self) -> Vec<StorageItem>;
 
-    /// Display name used in experiment tables.
-    fn name(&self) -> &'static str;
+    /// Footprint-prediction counters (only Footprint Cache has them).
+    fn prediction_counters(&self) -> Option<PredictionCounters>;
 
-    /// Footprint-prediction counters, for designs that predict (only
-    /// Footprint Cache). Defaults to `None`.
+    /// Clones the model behind a fresh box: checkpointable simulation
+    /// (the parallel-in-time sampler) clones a [`BoxedModel`] without
+    /// knowing its concrete type.
+    fn clone_model(&self) -> BoxedModel;
+}
+
+impl<T: CacheDesign> DramCacheModel for T {
+    fn access(&mut self, req: MemAccess) -> AccessPlan {
+        AccessPlan::build(|plan| self.access_into(req, plan)).tally(self.stats_mut())
+    }
+
+    fn writeback(&mut self, addr: PhysAddr) -> AccessPlan {
+        AccessPlan::build(|plan| self.writeback_into(addr, plan)).tally(self.stats_mut())
+    }
+
+    fn warm_access(&mut self, req: MemAccess) {
+        BlockCounts::build(|counts| self.access_into(req, counts)).tally(self.stats_mut());
+    }
+
+    fn warm_writeback(&mut self, addr: PhysAddr) {
+        BlockCounts::build(|counts| self.writeback_into(addr, counts)).tally(self.stats_mut());
+    }
+
+    fn stats(&self) -> &DramCacheStats {
+        CacheDesign::stats(self)
+    }
+
+    fn storage(&self) -> Vec<StorageItem> {
+        CacheDesign::storage(self)
+    }
+
     fn prediction_counters(&self) -> Option<PredictionCounters> {
-        None
+        CacheDesign::prediction_counters(self)
+    }
+
+    fn clone_model(&self) -> BoxedModel {
+        Box::new(self.clone())
     }
 }
 

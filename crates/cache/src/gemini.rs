@@ -13,9 +13,9 @@
 
 use fc_types::{Footprint, MemAccess, PageAddr, PageGeometry, PhysAddr};
 
-use crate::design::{sram_latency_cycles, DramCacheModel, DramCacheStats, StorageItem};
+use crate::design::{sram_latency_cycles, DramCacheStats, StorageItem};
 use crate::page::PAGE_WAYS;
-use crate::plan::{AccessPlan, BlockCounts, MemOp, MemTarget, OpSink};
+use crate::plan::{MemOp, MemTarget, OpSink};
 use crate::setassoc::{Probe, SetAssoc};
 
 /// Bits per page tag entry (tag + valid + LRU + hit counter).
@@ -179,8 +179,9 @@ impl GeminiCache {
             }
         }
     }
+}
 
-    /// The demand-access transition, for either sink.
+impl crate::CacheDesign for GeminiCache {
     fn access_into(&mut self, req: MemAccess, sink: &mut impl OpSink) {
         self.stats.accesses += 1;
         let page = self.geom.page_of(req.addr);
@@ -240,7 +241,6 @@ impl GeminiCache {
         ));
     }
 
-    /// The L2-writeback transition, for either sink.
     fn writeback_into(&mut self, addr: PhysAddr, sink: &mut impl OpSink) {
         let page = self.geom.page_of(addr);
         let offset = self.geom.block_offset(addr);
@@ -267,27 +267,13 @@ impl GeminiCache {
             sink.background(MemOp::write(MemTarget::OffChip, addr.block().base(), 1));
         }
     }
-}
-
-impl DramCacheModel for GeminiCache {
-    fn access(&mut self, req: MemAccess) -> AccessPlan {
-        AccessPlan::build(|plan| self.access_into(req, plan)).tally(&mut self.stats)
-    }
-
-    fn writeback(&mut self, addr: PhysAddr) -> AccessPlan {
-        AccessPlan::build(|plan| self.writeback_into(addr, plan)).tally(&mut self.stats)
-    }
-
-    fn warm_access(&mut self, req: MemAccess) {
-        BlockCounts::build(|counts| self.access_into(req, counts)).tally(&mut self.stats);
-    }
-
-    fn warm_writeback(&mut self, addr: PhysAddr) {
-        BlockCounts::build(|counts| self.writeback_into(addr, counts)).tally(&mut self.stats);
-    }
 
     fn stats(&self) -> &DramCacheStats {
         &self.stats
+    }
+
+    fn stats_mut(&mut self) -> &mut DramCacheStats {
+        &mut self.stats
     }
 
     fn storage(&self) -> Vec<StorageItem> {
@@ -304,15 +290,12 @@ impl DramCacheModel for GeminiCache {
             },
         ]
     }
-
-    fn name(&self) -> &'static str {
-        "Gemini"
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::DramCacheModel;
     use fc_types::Pc;
 
     fn read(addr: u64) -> MemAccess {

@@ -10,9 +10,9 @@
 
 use fc_types::{Footprint, MemAccess, PageAddr, PageGeometry, PhysAddr};
 
-use crate::design::{sram_latency_cycles, DramCacheModel, DramCacheStats, StorageItem};
+use crate::design::{sram_latency_cycles, DramCacheStats, StorageItem};
 use crate::page::PAGE_WAYS;
-use crate::plan::{AccessPlan, BlockCounts, MemOp, MemTarget, OpSink};
+use crate::plan::{MemOp, MemTarget, OpSink};
 use crate::setassoc::{Probe, SetAssoc};
 
 /// Bits per filter-table entry (page tag + saturating counter).
@@ -101,8 +101,9 @@ impl HotPageCache {
             Probe::Miss(_) => self.threshold <= 1,
         }
     }
+}
 
-    /// The demand-access transition, for either sink.
+impl crate::CacheDesign for HotPageCache {
     fn access_into(&mut self, req: MemAccess, sink: &mut impl OpSink) {
         self.stats.accesses += 1;
         let page = self.geom.page_of(req.addr);
@@ -163,7 +164,6 @@ impl HotPageCache {
         ));
     }
 
-    /// The L2-writeback transition, for either sink.
     fn writeback_into(&mut self, addr: PhysAddr, sink: &mut impl OpSink) {
         let page = self.geom.page_of(addr);
         let offset = self.geom.block_offset(addr);
@@ -181,27 +181,13 @@ impl HotPageCache {
             sink.background(MemOp::write(MemTarget::OffChip, addr.block().base(), 1));
         }
     }
-}
-
-impl DramCacheModel for HotPageCache {
-    fn access(&mut self, req: MemAccess) -> AccessPlan {
-        AccessPlan::build(|plan| self.access_into(req, plan)).tally(&mut self.stats)
-    }
-
-    fn writeback(&mut self, addr: PhysAddr) -> AccessPlan {
-        AccessPlan::build(|plan| self.writeback_into(addr, plan)).tally(&mut self.stats)
-    }
-
-    fn warm_access(&mut self, req: MemAccess) {
-        BlockCounts::build(|counts| self.access_into(req, counts)).tally(&mut self.stats);
-    }
-
-    fn warm_writeback(&mut self, addr: PhysAddr) {
-        BlockCounts::build(|counts| self.writeback_into(addr, counts)).tally(&mut self.stats);
-    }
 
     fn stats(&self) -> &DramCacheStats {
         &self.stats
+    }
+
+    fn stats_mut(&mut self) -> &mut DramCacheStats {
+        &mut self.stats
     }
 
     fn storage(&self) -> Vec<StorageItem> {
@@ -220,15 +206,12 @@ impl DramCacheModel for HotPageCache {
             },
         ]
     }
-
-    fn name(&self) -> &'static str {
-        "Hot-page (CHOP)"
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::DramCacheModel;
     use fc_types::Pc;
 
     fn read(addr: u64) -> MemAccess {

@@ -5,8 +5,8 @@
 
 use fc_types::{MemAccess, PhysAddr};
 
-use crate::design::{DramCacheModel, DramCacheStats, StorageItem};
-use crate::plan::{AccessPlan, BlockCounts, MemOp, MemTarget, OpSink};
+use crate::design::{DramCacheStats, StorageItem};
+use crate::plan::{MemOp, MemTarget, OpSink};
 
 /// A cache that always hits with zero tag latency: the "Ideal" series of
 /// Figures 6/7 (a die-stacked main memory).
@@ -32,8 +32,9 @@ impl IdealCache {
     pub fn new() -> Self {
         Self::default()
     }
+}
 
-    /// The demand-access transition, for either sink.
+impl crate::CacheDesign for IdealCache {
     fn access_into(&mut self, req: MemAccess, sink: &mut impl OpSink) {
         self.stats.accesses += 1;
         self.stats.hits += 1;
@@ -41,40 +42,21 @@ impl IdealCache {
         sink.critical(MemOp::read(MemTarget::Stacked, req.addr.block().base(), 1));
     }
 
-    /// The L2-writeback transition, for either sink.
     fn writeback_into(&mut self, addr: PhysAddr, sink: &mut impl OpSink) {
         sink.mark_hit();
         sink.background(MemOp::write(MemTarget::Stacked, addr.block().base(), 1));
-    }
-}
-
-impl DramCacheModel for IdealCache {
-    fn access(&mut self, req: MemAccess) -> AccessPlan {
-        AccessPlan::build(|plan| self.access_into(req, plan)).tally(&mut self.stats)
-    }
-
-    fn writeback(&mut self, addr: PhysAddr) -> AccessPlan {
-        AccessPlan::build(|plan| self.writeback_into(addr, plan)).tally(&mut self.stats)
-    }
-
-    fn warm_access(&mut self, req: MemAccess) {
-        BlockCounts::build(|counts| self.access_into(req, counts)).tally(&mut self.stats);
-    }
-
-    fn warm_writeback(&mut self, addr: PhysAddr) {
-        BlockCounts::build(|counts| self.writeback_into(addr, counts)).tally(&mut self.stats);
     }
 
     fn stats(&self) -> &DramCacheStats {
         &self.stats
     }
 
-    fn storage(&self) -> Vec<StorageItem> {
-        Vec::new()
+    fn stats_mut(&mut self) -> &mut DramCacheStats {
+        &mut self.stats
     }
 
-    fn name(&self) -> &'static str {
-        "Ideal"
+    fn storage(&self) -> Vec<StorageItem> {
+        Vec::new()
     }
 }
 
@@ -101,53 +83,36 @@ impl NoCache {
     pub fn new() -> Self {
         Self::default()
     }
+}
 
-    /// The demand-access transition, for either sink.
+impl crate::CacheDesign for NoCache {
     fn access_into(&mut self, req: MemAccess, sink: &mut impl OpSink) {
         self.stats.accesses += 1;
         self.stats.misses += 1;
         sink.critical(MemOp::read(MemTarget::OffChip, req.addr.block().base(), 1));
     }
 
-    /// The L2-writeback transition, for either sink.
     fn writeback_into(&mut self, addr: PhysAddr, sink: &mut impl OpSink) {
         sink.background(MemOp::write(MemTarget::OffChip, addr.block().base(), 1));
-    }
-}
-
-impl DramCacheModel for NoCache {
-    fn access(&mut self, req: MemAccess) -> AccessPlan {
-        AccessPlan::build(|plan| self.access_into(req, plan)).tally(&mut self.stats)
-    }
-
-    fn writeback(&mut self, addr: PhysAddr) -> AccessPlan {
-        AccessPlan::build(|plan| self.writeback_into(addr, plan)).tally(&mut self.stats)
-    }
-
-    fn warm_access(&mut self, req: MemAccess) {
-        BlockCounts::build(|counts| self.access_into(req, counts)).tally(&mut self.stats);
-    }
-
-    fn warm_writeback(&mut self, addr: PhysAddr) {
-        BlockCounts::build(|counts| self.writeback_into(addr, counts)).tally(&mut self.stats);
     }
 
     fn stats(&self) -> &DramCacheStats {
         &self.stats
     }
 
-    fn storage(&self) -> Vec<StorageItem> {
-        Vec::new()
+    fn stats_mut(&mut self) -> &mut DramCacheStats {
+        &mut self.stats
     }
 
-    fn name(&self) -> &'static str {
-        "Baseline"
+    fn storage(&self) -> Vec<StorageItem> {
+        Vec::new()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::DramCacheModel;
     use fc_types::Pc;
 
     #[test]

@@ -8,12 +8,17 @@
 //!   FHT.
 //! * [`SramCache`] — the pod's shared L2 (Table 3: 4 MB, 16-way, 64 B
 //!   blocks, writeback/write-allocate).
-//! * [`DramCacheModel`] — the trait every DRAM cache design implements.
-//!   A design is purely functional: an access yields an [`AccessPlan`]
-//!   listing the DRAM operations to perform, split into critical-path ops
-//!   (which determine the request's latency) and background ops (fills,
-//!   evictions, tag updates — bank time and energy only). The simulator
-//!   executes plans against the stacked and off-chip DRAM timing models.
+//! * [`CacheDesign`] — the trait every DRAM cache design implements: its
+//!   demand and writeback transitions, written once over an [`OpSink`].
+//!   A design is purely functional: an access yields the DRAM operations
+//!   to perform, split into critical-path ops (which determine the
+//!   request's latency) and background ops (fills, evictions, tag
+//!   updates — bank time and energy only).
+//! * [`DramCacheModel`] — the object-safe face the simulator drives,
+//!   boxed as [`BoxedModel`]; one blanket impl gives it to every
+//!   [`CacheDesign`]. Detailed replay gets an [`AccessPlan`], which the
+//!   simulator executes against the stacked and off-chip DRAM timing
+//!   models; functional warm-up only counts blocks ([`BlockCounts`]).
 //! * The baseline designs themselves:
 //!   [`BlockBasedCache`] (Loh & Hill \[24\]: tags-in-DRAM, compound access
 //!   scheduling, [`MissMap`]), [`PageBasedCache`], [`SubBlockCache`]
@@ -63,7 +68,7 @@ pub use arena::{PageArena, PageHandle};
 pub use banshee::BansheeCache;
 pub use block::BlockBasedCache;
 pub use design::{
-    sram_latency_cycles, BoxedModel, CloneModel, DensityHistogram, DramCacheModel, DramCacheStats,
+    sram_latency_cycles, BoxedModel, CacheDesign, DensityHistogram, DramCacheModel, DramCacheStats,
     StorageItem,
 };
 pub use gemini::GeminiCache;

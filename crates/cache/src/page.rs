@@ -6,8 +6,8 @@ use serde::{Deserialize, Serialize};
 
 use fc_types::{Footprint, MemAccess, PageAddr, PageGeometry, PhysAddr};
 
-use crate::design::{sram_latency_cycles, DramCacheModel, DramCacheStats, StorageItem};
-use crate::plan::{AccessPlan, BlockCounts, MemOp, MemTarget, OpSink};
+use crate::design::{sram_latency_cycles, DramCacheStats, StorageItem};
+use crate::plan::{MemOp, MemTarget, OpSink};
 use crate::setassoc::{Probe, SetAssoc};
 
 /// Associativity of the page tag array (also used by Footprint Cache).
@@ -141,8 +141,9 @@ impl PageBasedCache {
             blocks,
         ));
     }
+}
 
-    /// The demand-access transition, for either sink.
+impl crate::CacheDesign for PageBasedCache {
     fn access_into(&mut self, req: MemAccess, sink: &mut impl OpSink) {
         self.stats.accesses += 1;
         let page = self.geom.page_of(req.addr);
@@ -184,7 +185,6 @@ impl PageBasedCache {
         ));
     }
 
-    /// The L2-writeback transition, for either sink.
     fn writeback_into(&mut self, addr: PhysAddr, sink: &mut impl OpSink) {
         let page = self.geom.page_of(addr);
         let offset = self.geom.block_offset(addr);
@@ -202,27 +202,13 @@ impl PageBasedCache {
             sink.background(MemOp::write(MemTarget::OffChip, addr.block().base(), 1));
         }
     }
-}
-
-impl DramCacheModel for PageBasedCache {
-    fn access(&mut self, req: MemAccess) -> AccessPlan {
-        AccessPlan::build(|plan| self.access_into(req, plan)).tally(&mut self.stats)
-    }
-
-    fn writeback(&mut self, addr: PhysAddr) -> AccessPlan {
-        AccessPlan::build(|plan| self.writeback_into(addr, plan)).tally(&mut self.stats)
-    }
-
-    fn warm_access(&mut self, req: MemAccess) {
-        BlockCounts::build(|counts| self.access_into(req, counts)).tally(&mut self.stats);
-    }
-
-    fn warm_writeback(&mut self, addr: PhysAddr) {
-        BlockCounts::build(|counts| self.writeback_into(addr, counts)).tally(&mut self.stats);
-    }
 
     fn stats(&self) -> &DramCacheStats {
         &self.stats
+    }
+
+    fn stats_mut(&mut self) -> &mut DramCacheStats {
+        &mut self.stats
     }
 
     fn storage(&self) -> Vec<StorageItem> {
@@ -233,15 +219,12 @@ impl DramCacheModel for PageBasedCache {
             latency_cycles: self.tag_latency,
         }]
     }
-
-    fn name(&self) -> &'static str {
-        "Page-based"
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::DramCacheModel;
     use fc_types::Pc;
 
     fn read(addr: u64) -> MemAccess {

@@ -313,11 +313,12 @@ impl AccessPlan {
 /// Where a design's demand or writeback transition sends its outcome
 /// and its DRAM ops.
 ///
-/// A design writes each transition once, as an inherent fn generic over
-/// the sink, and its [`DramCacheModel`](crate::DramCacheModel) methods
-/// only pick the sink: [`AccessPlan`] records the ops for the DRAM
-/// timing models (`access`, `writeback`), [`BlockCounts`] keeps only
-/// their block totals (`warm_access`, `warm_writeback`). Either way
+/// A design writes each transition once, in its
+/// [`CacheDesign`](crate::CacheDesign) impl, generic over the sink, and
+/// the [`DramCacheModel`](crate::DramCacheModel) blanket impl picks the
+/// sink: [`AccessPlan`] records the ops for the DRAM timing models
+/// (`access`, `writeback`), [`BlockCounts`] keeps only their block
+/// totals (`warm_access`, `warm_writeback`). Either way
 /// [`tally`](Self::tally) folds the traffic into the design's
 /// [`DramCacheStats`] once per transition.
 pub trait OpSink: Default {

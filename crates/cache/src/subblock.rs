@@ -5,9 +5,9 @@
 
 use fc_types::{BlockStateVec, MemAccess, PageAddr, PageGeometry, PhysAddr};
 
-use crate::design::{sram_latency_cycles, DramCacheModel, DramCacheStats, StorageItem};
+use crate::design::{sram_latency_cycles, DramCacheStats, StorageItem};
 use crate::page::PAGE_WAYS;
-use crate::plan::{AccessPlan, BlockCounts, MemOp, MemTarget, OpSink};
+use crate::plan::{MemOp, MemTarget, OpSink};
 use crate::setassoc::{Probe, SetAssoc};
 
 /// Bits per entry: page tag + valid/dirty bit vectors (32+32) + LRU.
@@ -94,8 +94,9 @@ impl SubBlockCache {
             dirty.len() as u32,
         ));
     }
+}
 
-    /// The demand-access transition, for either sink.
+impl crate::CacheDesign for SubBlockCache {
     fn access_into(&mut self, req: MemAccess, sink: &mut impl OpSink) {
         self.stats.accesses += 1;
         let page = self.geom.page_of(req.addr);
@@ -144,7 +145,6 @@ impl SubBlockCache {
         ));
     }
 
-    /// The L2-writeback transition, for either sink.
     fn writeback_into(&mut self, addr: PhysAddr, sink: &mut impl OpSink) {
         let page = self.geom.page_of(addr);
         let offset = self.geom.block_offset(addr);
@@ -165,27 +165,13 @@ impl SubBlockCache {
             }
         }
     }
-}
-
-impl DramCacheModel for SubBlockCache {
-    fn access(&mut self, req: MemAccess) -> AccessPlan {
-        AccessPlan::build(|plan| self.access_into(req, plan)).tally(&mut self.stats)
-    }
-
-    fn writeback(&mut self, addr: PhysAddr) -> AccessPlan {
-        AccessPlan::build(|plan| self.writeback_into(addr, plan)).tally(&mut self.stats)
-    }
-
-    fn warm_access(&mut self, req: MemAccess) {
-        BlockCounts::build(|counts| self.access_into(req, counts)).tally(&mut self.stats);
-    }
-
-    fn warm_writeback(&mut self, addr: PhysAddr) {
-        BlockCounts::build(|counts| self.writeback_into(addr, counts)).tally(&mut self.stats);
-    }
 
     fn stats(&self) -> &DramCacheStats {
         &self.stats
+    }
+
+    fn stats_mut(&mut self) -> &mut DramCacheStats {
+        &mut self.stats
     }
 
     fn storage(&self) -> Vec<StorageItem> {
@@ -196,15 +182,12 @@ impl DramCacheModel for SubBlockCache {
             latency_cycles: self.tag_latency,
         }]
     }
-
-    fn name(&self) -> &'static str {
-        "Sub-blocked"
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::DramCacheModel;
     use fc_types::Pc;
 
     fn read(addr: u64) -> MemAccess {

@@ -19,8 +19,8 @@
 //! demanded vector trains the FHT and the prediction quality metrics.
 
 use fc_cache::{
-    sram_latency_cycles, AccessPlan, BlockCounts, DramCacheModel, DramCacheStats, MemOp, MemTarget,
-    OpSink, PredictionCounters, SetAssoc, StorageItem,
+    sram_latency_cycles, BlockCounts, DramCacheStats, MemOp, MemTarget, OpSink, PredictionCounters,
+    SetAssoc, StorageItem,
 };
 use fc_types::{BlockStateVec, Footprint, MemAccess, PageAddr, PhysAddr};
 
@@ -118,7 +118,7 @@ impl FootprintCache {
     }
 
     /// Predictor quality counters (Figure 8); the same counters
-    /// [`prediction_counters`](DramCacheModel::prediction_counters)
+    /// [`prediction_counters`](fc_cache::DramCacheModel::prediction_counters)
     /// reports.
     pub fn metrics(&self) -> &PredictionCounters {
         &self.predictions
@@ -228,17 +228,17 @@ impl FootprintCache {
                 victims.push((set, tag));
             }
         }
-        BlockCounts::build(|counts| {
-            for (set, tag) in victims {
-                if let Some(entry) = self.tags.remove(set, tag) {
-                    self.evict(set, tag, entry, counts);
-                }
+        let mut counts = BlockCounts::default();
+        for (set, tag) in victims {
+            if let Some(entry) = self.tags.remove(set, tag) {
+                self.evict(set, tag, entry, &mut counts);
             }
-        })
-        .tally(&mut self.stats);
+        }
+        counts.tally(&mut self.stats);
     }
+}
 
-    /// The demand-access transition, for either sink.
+impl fc_cache::CacheDesign for FootprintCache {
     fn access_into(&mut self, req: MemAccess, sink: &mut impl OpSink) {
         self.stats.accesses += 1;
         let geom = self.config.geom;
@@ -317,7 +317,6 @@ impl FootprintCache {
         }
     }
 
-    /// The L2-writeback transition, for either sink.
     fn writeback_into(&mut self, addr: PhysAddr, sink: &mut impl OpSink) {
         let geom = self.config.geom;
         let page = geom.page_of(addr);
@@ -341,27 +340,13 @@ impl FootprintCache {
             }
         }
     }
-}
-
-impl DramCacheModel for FootprintCache {
-    fn access(&mut self, req: MemAccess) -> AccessPlan {
-        AccessPlan::build(|plan| self.access_into(req, plan)).tally(&mut self.stats)
-    }
-
-    fn writeback(&mut self, addr: PhysAddr) -> AccessPlan {
-        AccessPlan::build(|plan| self.writeback_into(addr, plan)).tally(&mut self.stats)
-    }
-
-    fn warm_access(&mut self, req: MemAccess) {
-        BlockCounts::build(|counts| self.access_into(req, counts)).tally(&mut self.stats);
-    }
-
-    fn warm_writeback(&mut self, addr: PhysAddr) {
-        BlockCounts::build(|counts| self.writeback_into(addr, counts)).tally(&mut self.stats);
-    }
 
     fn stats(&self) -> &DramCacheStats {
         &self.stats
+    }
+
+    fn stats_mut(&mut self) -> &mut DramCacheStats {
+        &mut self.stats
     }
 
     fn storage(&self) -> Vec<StorageItem> {
@@ -385,10 +370,6 @@ impl DramCacheModel for FootprintCache {
         ]
     }
 
-    fn name(&self) -> &'static str {
-        "Footprint"
-    }
-
     fn prediction_counters(&self) -> Option<PredictionCounters> {
         Some(self.predictions)
     }
@@ -397,6 +378,7 @@ impl DramCacheModel for FootprintCache {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use fc_cache::DramCacheModel;
     use fc_types::{PageGeometry, Pc};
 
     fn read(pc: u64, addr: u64) -> MemAccess {

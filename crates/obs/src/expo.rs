@@ -13,10 +13,9 @@
 //! writes next to the exposition: coarse state
 //! (starting/serving/degraded/draining), store generation, uptime and
 //! last-request age. Both artifacts are written atomically
-//! ([`write_atomic`]) so a scraper never reads a torn file.
+//! ([`fc_types::atomic_write`]) so a scraper never reads a torn file.
 
 use std::collections::BTreeMap;
-use std::path::Path;
 
 use crate::json_escape;
 use crate::metrics::{HistogramSnapshot, MetricsSnapshot};
@@ -173,12 +172,6 @@ impl Health {
             self.state, self.uptime_secs, self.requests
         )
     }
-}
-
-/// Atomic file write (same-dir temp + rename): scrapers polling the
-/// metrics directory never observe a torn exposition or heartbeat.
-pub fn write_atomic(path: &Path, contents: &str) -> std::io::Result<()> {
-    fc_types::atomic_write(path, contents.as_bytes())
 }
 
 #[cfg(test)]

@@ -16,7 +16,7 @@
 //! and cannot be split in time; callers run them through the
 //! sequential driver.
 
-use fc_sim::{Checkpoint, DesignSpec, SimConfig, SimReport, Simulation};
+use fc_sim::{Checkpoint, SimReport, Simulation};
 use fc_trace::TraceRecord;
 
 use crate::plan::SamplePlan;
@@ -111,60 +111,10 @@ pub fn assemble_report(
     SampledReport::aggregate(*plan, warmup + measured, replayed, detailed, intervals)
 }
 
-/// Reconstructs, from scratch, the engine state a parallel-in-time
-/// worker holds at the start of period `k`'s detailed warmup: a fresh
-/// simulation that replays only the functional-warmup prefix (the
-/// initial window, a checkpoint round-trip, then period `k`'s own
-/// functional warmup). Useful for spot-checking a single interval
-/// without running the periods before it.
-///
-/// # Panics
-///
-/// Panics if `k` is outside the plan's measured periods or the slice
-/// is shorter than `warmup + measured`.
-pub fn fresh_at(
-    config: SimConfig,
-    design: DesignSpec,
-    records: &[TraceRecord],
-    warmup: u64,
-    measured: u64,
-    plan: &SamplePlan,
-    k: u64,
-) -> Simulation {
-    assert!(
-        records.len() as u64 >= warmup + measured,
-        "slice holds {} records but the run needs {}",
-        records.len(),
-        warmup + measured
-    );
-    let layout = PlanLayout::of(plan, warmup, measured);
-    assert!(
-        k < layout.periods,
-        "period {k} out of range ({} measured periods)",
-        layout.periods
-    );
-    let mut sim = Simulation::new(config, design);
-    let start = (warmup - layout.window) as usize;
-    for r in &records[start..warmup as usize] {
-        sim.step_functional(r);
-    }
-    let mut sim = if plan.skip() > 0 {
-        // The same checkpoint round-trip every worker performs.
-        sim.checkpoint().to_sim()
-    } else {
-        sim
-    };
-    let warm_start = layout.warm_start(plan, warmup, k) as usize;
-    let fw_end = warm_start + plan.functional_warmup as usize;
-    for r in &records[warm_start..fw_end] {
-        sim.step_functional(r);
-    }
-    sim
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use fc_sim::{DesignSpec, SimConfig};
     use fc_trace::{TraceGenerator, WorkloadKind};
 
     fn records(n: usize) -> Vec<TraceRecord> {
@@ -198,42 +148,5 @@ mod tests {
             .collect();
         samples.reverse();
         assert_eq!(seq, assemble_report(&plan, 6_000, 24_000, samples));
-    }
-
-    #[test]
-    fn fresh_at_matches_worker_state() {
-        let rs = records(30_000);
-        let plan = skipping_plan();
-        let layout = PlanLayout::of(&plan, 6_000, 24_000);
-        // Build the base the way the parallel driver does, run period
-        // k's functional warmup, and compare against fresh_at.
-        let mut s = sim();
-        let start = (6_000 - layout.window) as usize;
-        for r in &rs[start..6_000] {
-            s.step_functional(r);
-        }
-        let base = s.checkpoint();
-        for k in [0u64, 2, 5] {
-            let mut worker = base.to_sim();
-            let ws = layout.warm_start(&plan, 6_000, k) as usize;
-            for r in &rs[ws..ws + plan.functional_warmup as usize] {
-                worker.step_functional(r);
-            }
-            let fresh = fresh_at(
-                SimConfig::small(),
-                DesignSpec::footprint(64),
-                &rs,
-                6_000,
-                24_000,
-                &plan,
-                k,
-            );
-            let zero = fc_sim::ReportSnapshot::zero();
-            assert_eq!(
-                SimReport::since(&worker, &zero),
-                SimReport::since(&fresh, &zero),
-                "fresh_at({k}) diverged from worker state"
-            );
-        }
     }
 }

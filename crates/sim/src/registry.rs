@@ -8,7 +8,9 @@
 //!
 //! # Adding a design
 //!
-//! 1. Implement the model in `fc-cache` (a `DramCacheModel`).
+//! 1. Implement the model in `fc-cache`: a `fc_cache::CacheDesign`
+//!    (its two transitions, stats and storage); the blanket impl makes
+//!    it a `DramCacheModel`.
 //! 2. Add a [`CacheSpec`](crate::CacheSpec) variant and a
 //!    [`DesignSpec`] constructor (with the design's DRAM specs), its
 //!    JSON encode/decode arms, and its arm in

@@ -179,7 +179,7 @@ impl ServiceMonitor {
         }
         let name = format!("slow-{seq:06}-{}.trace.json", sanitize_stem(id));
         let json = trace::render_chrome_trace(&events, &lanes);
-        if expo::write_atomic(&slow_dir.join(&name), &json).is_ok() {
+        if fc_types::atomic_write(&slow_dir.join(&name), json.as_bytes()).is_ok() {
             self.append_event(&format!(
                 "{{\"event\": \"slow-request\", \"id\": \"{}\", \
                  \"elapsed_ms\": {elapsed_ms}, \"trace\": \"{SLOW_DIR}/{name}\"}}",
@@ -232,9 +232,9 @@ impl ServiceMonitor {
             }
         }
         let snap = metrics::snapshot();
-        let _ = expo::write_atomic(
+        let _ = fc_types::atomic_write(
             &self.dir.join(EXPOSITION_FILE),
-            &expo::prometheus_text(&snap),
+            expo::prometheus_text(&snap).as_bytes(),
         );
         let _ = self.write_health_locked(&inner);
     }
@@ -270,9 +270,9 @@ impl ServiceMonitor {
     }
 
     fn write_health_locked(&self, inner: &MonitorInner) -> std::io::Result<()> {
-        expo::write_atomic(
+        fc_types::atomic_write(
             &self.dir.join(HEALTH_FILE),
-            &self.health_locked(inner).to_json(),
+            self.health_locked(inner).to_json().as_bytes(),
         )
     }
 

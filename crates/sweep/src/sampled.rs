@@ -35,6 +35,7 @@ use crate::executor::SweepEngine;
 use crate::pool::{self, TaskQueue};
 use crate::spec::{SweepPoint, SweepSpec};
 use crate::store::PointKey;
+use crate::trace_cache::generator_records;
 
 /// One experiment in a sampled sweep: a sweep point and its plan.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -150,21 +151,27 @@ impl SampledGrid {
     /// grid's longest run (at most 20M records — longer runs stream);
     /// in aggregate, every distinct trace that fits an entry at
     /// its longest run, plus an eighth for the L2 outcomes a full
-    /// detailed twin attaches. With these,
+    /// detailed twin attaches, plus its generator. With these,
     /// [`prefetch_traces`](Self::prefetch_traces) synthesizes each
     /// trace once and no later run evicts one.
     pub fn trace_budgets(&self) -> (usize, usize) {
-        let entry = self.max_records().min(Self::MAX_TRACE_RECORDS);
-        let mut longest: HashMap<(WorkloadKind, u8, u64), u64> = HashMap::new();
+        let entry = self.max_records().min(Self::MAX_TRACE_RECORDS) as usize;
+        let mut longest: HashMap<(WorkloadKind, u8, u64), usize> = HashMap::new();
         for sp in &self.points {
             let p = &sp.point;
             let len = longest
                 .entry((p.workload, p.config.cores, p.seed()))
                 .or_default();
-            *len = (*len).max(p.warmup() + p.measured());
+            *len = (*len).max((p.warmup() + p.measured()) as usize);
         }
-        let resident: u64 = longest.into_values().filter(|&len| len <= entry).sum();
-        (entry as usize, (resident + resident / 8) as usize)
+        let aggregate = longest
+            .into_iter()
+            .filter(|&(_, len)| len <= entry)
+            .map(|((workload, cores, seed), len)| {
+                len + len / 8 + generator_records(workload, cores, seed)
+            })
+            .sum();
+        (entry, aggregate)
     }
 
     /// Synthesizes every point's shared trace into `engine`'s cache up

@@ -24,10 +24,10 @@
 //!
 //! Memory is bounded twice: a per-entry budget (requests beyond it
 //! stream instead of caching) and an aggregate budget across entries,
-//! counted in bytes of records plus outcomes (least-recently-used
-//! streams are evicted once the sweep moves on to other workloads;
-//! in-flight readers keep their `Arc` until they finish, so eviction
-//! never invalidates a running simulation).
+//! counted in bytes of records, outcomes and generators
+//! (least-recently-used streams are evicted once the sweep moves on to
+//! other workloads; in-flight readers keep their `Arc` until they
+//! finish, so eviction never invalidates a running simulation).
 
 use std::collections::HashMap;
 use std::mem::size_of;
@@ -35,7 +35,7 @@ use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 
 use fc_sim::{L2Outcomes, SimConfig};
-use fc_trace::synth::Workers;
+use fc_trace::synth::{Workers, WINDOW};
 use fc_trace::{TraceGenerator, TraceRecord, WorkloadKind};
 
 use crate::pool;
@@ -52,11 +52,22 @@ struct CachedTrace {
 }
 
 impl CachedTrace {
-    /// Host bytes the entry holds: its records plus its outcomes.
+    /// Host bytes the entry holds: its records, its outcomes and its
+    /// generator.
     fn bytes(&self) -> usize {
         self.records.len() * size_of::<TraceRecord>()
             + self.outcomes.iter().map(|o| o.heap_bytes()).sum::<usize>()
+            + self.generator.heap_bytes()
     }
+}
+
+/// Records' worth of bytes the generator of a cached `(workload, cores,
+/// seed)` trace may hold: a fresh generator's heap plus one window of
+/// spill. Budgets that must keep a trace resident add this to its
+/// records.
+pub(crate) fn generator_records(workload: WorkloadKind, cores: u8, seed: u64) -> usize {
+    let bytes = TraceGenerator::new(workload, cores, seed).heap_bytes();
+    bytes.div_ceil(size_of::<TraceRecord>()) + WINDOW
 }
 
 /// An entry's size as eviction sees it.
@@ -121,8 +132,8 @@ impl TraceCache {
 
     /// A cache with explicit per-entry and aggregate record budgets.
     /// The aggregate holds the bytes of that many records, outcomes
-    /// included. Fills use every available core; a [`SweepEngine`]'s
-    /// cache uses the engine's thread count instead.
+    /// and generators included. Fills use every available core; a
+    /// [`SweepEngine`]'s cache uses the engine's thread count instead.
     ///
     /// [`SweepEngine`]: crate::SweepEngine
     pub fn with_aggregate_budget(budget_records: usize, aggregate_budget_records: usize) -> Self {
@@ -307,9 +318,9 @@ impl TraceCache {
         index.sizes.values().map(|s| s.records).sum()
     }
 
-    /// Host bytes currently resident across all entries: records plus
-    /// L2 outcomes. Eviction keeps this within the aggregate budget
-    /// whenever more than one entry is resident.
+    /// Host bytes currently resident across all entries: records, L2
+    /// outcomes and generators. Eviction keeps this within the aggregate
+    /// budget whenever more than one entry is resident.
     #[cfg(test)]
     fn resident_bytes(&self) -> usize {
         let index = self.index.lock().expect("trace cache index");
@@ -342,7 +353,6 @@ mod tests {
 
     #[test]
     fn windowed_fills_extend_the_prefix_exactly() {
-        use fc_trace::synth::WINDOW;
         let lens = [100, 500, 3 * WINDOW + 7];
         let fresh: Vec<_> = TraceGenerator::new(WorkloadKind::WebSearch, 16, 9)
             .take(lens[2])
@@ -359,7 +369,9 @@ mod tests {
                     records[..] == fresh[..len],
                     "{workers} workers, {len} records"
                 );
-                // Window overshoot stays in the generator, uncounted.
+                // Window overshoot waits in the generator's spill: it
+                // counts in the entry's bytes, not as synthesized or
+                // resident records.
                 assert_eq!(cache.records_synthesized(), len as u64);
                 assert_eq!(cache.resident_records(), len);
             }
@@ -478,6 +490,16 @@ mod tests {
         }
         assert!(cache.resident_bytes() > cache.resident_records() * size_of::<TraceRecord>());
         assert_eq!(cache.records_filtered(), 1_000 * tiny as u64);
+        // Every resident entry's generator counts too: at least the
+        // bytes a fresh generator holds, on top of its records.
+        let entries = cache.index.lock().expect("trace cache index").entries.len();
+        let generator = TraceGenerator::new(WorkloadKind::WebSearch, config.cores, 0).heap_bytes();
+        assert!(generator > 0);
+        assert!(
+            cache.resident_bytes()
+                >= cache.resident_records() * size_of::<TraceRecord>() + entries * generator,
+            "generator bytes left out of the entries' sizes"
+        );
     }
 
     #[test]

@@ -294,6 +294,13 @@ impl CoreEngine {
         rate.min(1.0)
     }
 
+    /// Heap bytes of this core's classes, visit slots and visit heap.
+    fn heap_bytes(&self) -> usize {
+        self.classes.capacity() * size_of::<RuntimeClass>()
+            + self.slots.capacity() * size_of::<Visit>()
+            + self.heap.capacity() * size_of::<Reverse<u64>>()
+    }
+
     /// Emits this core's next record.
     pub(crate) fn emit(&mut self) -> TraceRecord {
         let top = self.top();
@@ -428,6 +435,15 @@ impl TraceGenerator {
     /// Number of cores in the stream.
     pub fn core_count(&self) -> usize {
         self.cores.len()
+    }
+
+    /// Heap bytes the generator holds: its per-core engines (classes,
+    /// visit slots and visit heaps) and the window spill of the last
+    /// [`fill`](Self::fill).
+    pub fn heap_bytes(&self) -> usize {
+        self.cores.capacity() * size_of::<CoreEngine>()
+            + self.cores.iter().map(CoreEngine::heap_bytes).sum::<usize>()
+            + self.spill.capacity() * size_of::<TraceRecord>()
     }
 }
 

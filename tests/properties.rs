@@ -86,26 +86,41 @@ const CACHE_BYTES: u64 = 64 << 10;
 /// Pages the accounting and traffic properties draw from.
 const PAGES: u64 = 256;
 
-/// Every design family's model (PageDirty is the dirty-block
-/// `PageBasedCache`), at [`CACHE_BYTES`].
-fn designs() -> Vec<BoxedModel> {
+/// Every design family's model, labelled for failure messages, at
+/// [`CACHE_BYTES`].
+fn designs() -> Vec<(&'static str, BoxedModel)> {
     let geom = PageGeometry::default();
     vec![
-        Box::new(NoCache::new()),
-        Box::new(IdealCache::new()),
-        Box::new(BlockBasedCache::new(CACHE_BYTES)),
-        Box::new(PageBasedCache::new(CACHE_BYTES, geom)),
-        Box::new(PageBasedCache::with_granularity(
-            CACHE_BYTES,
-            geom,
-            WritebackGranularity::DirtyBlocks,
-        )),
-        Box::new(SubBlockCache::new(CACHE_BYTES, geom)),
-        Box::new(HotPageCache::new(CACHE_BYTES, PageGeometry::new(4096), 2)),
-        Box::new(FootprintCache::new(FootprintCacheConfig::new(CACHE_BYTES))),
-        Box::new(AlloyCache::new(CACHE_BYTES)),
-        Box::new(BansheeCache::new(CACHE_BYTES, geom)),
-        Box::new(GeminiCache::new(CACHE_BYTES, geom, 4)),
+        ("Baseline", Box::new(NoCache::new())),
+        ("Ideal", Box::new(IdealCache::new())),
+        ("Block-based", Box::new(BlockBasedCache::new(CACHE_BYTES))),
+        (
+            "Page-based",
+            Box::new(PageBasedCache::new(CACHE_BYTES, geom)),
+        ),
+        (
+            "PageDirty",
+            Box::new(PageBasedCache::with_granularity(
+                CACHE_BYTES,
+                geom,
+                WritebackGranularity::DirtyBlocks,
+            )),
+        ),
+        (
+            "Sub-blocked",
+            Box::new(SubBlockCache::new(CACHE_BYTES, geom)),
+        ),
+        (
+            "Hot-page",
+            Box::new(HotPageCache::new(CACHE_BYTES, PageGeometry::new(4096), 2)),
+        ),
+        (
+            "Footprint",
+            Box::new(FootprintCache::new(FootprintCacheConfig::new(CACHE_BYTES))),
+        ),
+        ("Alloy", Box::new(AlloyCache::new(CACHE_BYTES))),
+        ("Banshee", Box::new(BansheeCache::new(CACHE_BYTES, geom))),
+        ("Gemini", Box::new(GeminiCache::new(CACHE_BYTES, geom, 4))),
     ]
 }
 
@@ -132,15 +147,14 @@ fn designs_evict_on_a_stream_larger_than_the_cache() {
             )
         })
         .collect();
-    for mut design in designs() {
-        if matches!(design.name(), "Baseline" | "Ideal" | "Block-based") {
+    for (name, mut design) in designs() {
+        if matches!(name, "Baseline" | "Ideal" | "Block-based") {
             continue;
         }
         apply(design.as_mut(), &ops);
         assert!(
             design.stats().evictions > 0,
-            "{}: no evictions on a 256-page stream",
-            design.name()
+            "{name}: no evictions on a 256-page stream"
         );
     }
 }
@@ -153,17 +167,17 @@ proptest! {
     /// reflected in the counters.
     #[test]
     fn accounting_invariants(ops in ops_strategy(PAGES)) {
-        for mut design in designs() {
+        for (name, mut design) in designs() {
             apply(design.as_mut(), &ops);
             let s = design.stats().clone();
             prop_assert_eq!(
                 s.hits + s.misses, s.accesses,
-                "{}: hits+misses != accesses", design.name()
+                "{}: hits+misses != accesses", name
             );
             prop_assert!(s.bypasses <= s.misses,
-                "{}: bypasses exceed misses", design.name());
+                "{}: bypasses exceed misses", name);
             prop_assert!(s.dirty_evictions <= s.evictions,
-                "{}: dirty evictions exceed evictions", design.name());
+                "{}: dirty evictions exceed evictions", name);
         }
     }
 
@@ -172,20 +186,20 @@ proptest! {
     /// air), and the ideal cache never touches off-chip at all.
     #[test]
     fn traffic_conservation(ops in ops_strategy(PAGES)) {
-        for mut design in designs() {
+        for (name, mut design) in designs() {
             apply(design.as_mut(), &ops);
             let s = design.stats().clone();
-            if design.name() == "Ideal" {
+            if name == "Ideal" {
                 prop_assert_eq!(s.offchip_read_blocks, 0);
                 prop_assert_eq!(s.offchip_write_blocks, 0);
             }
             // Demand misses each read at least one off-chip block unless
             // the design fills larger units; in all cases fills are part
             // of the off-chip reads.
-            if design.name() != "Ideal" {
+            if name != "Ideal" {
                 prop_assert!(
                     s.offchip_read_blocks >= s.misses.min(s.fill_blocks),
-                    "{}: off-chip reads lost", design.name()
+                    "{}: off-chip reads lost", name
                 );
             }
         }
@@ -205,11 +219,10 @@ proptest! {
         let probes: Vec<Op> = (0..64u64)
             .map(|i| (i * 37 % PAGES, (i * 5 % 32) as u8, (i % 8) as u8, false, i % 4 == 3))
             .collect();
-        for mut detailed in designs() {
+        for (name, mut detailed) in designs() {
             let mut warmed = detailed.clone();
             let traffic = apply(detailed.as_mut(), &ops);
             warm(warmed.as_mut(), &ops);
-            let name = detailed.name();
             let s = detailed.stats();
             prop_assert_eq!(
                 traffic,
@@ -309,9 +322,9 @@ fn lockstep_cases_reach_every_transition() {
     let mut footprint = fc_cache::PredictionCounters::default();
     for case in 0..48 {
         let ops = ops_strategy(PAGES).generate(&mut proptest::TestRng::for_case(case));
-        for (i, mut design) in designs().into_iter().enumerate() {
+        for (name, mut design) in designs() {
             apply(design.as_mut(), &ops);
-            *dirty.entry((i, design.name())).or_insert(0) += design.stats().dirty_evictions;
+            *dirty.entry(name).or_insert(0) += design.stats().dirty_evictions;
             if let Some(p) = design.prediction_counters() {
                 footprint.covered += p.covered;
                 footprint.overpredicted += p.overpredicted;
@@ -321,8 +334,11 @@ fn lockstep_cases_reach_every_transition() {
             }
         }
     }
-    for ((_, name), n) in &dirty {
-        if matches!(*name, "Page-based" | "Sub-blocked" | "Footprint") {
+    for (name, n) in &dirty {
+        if matches!(
+            *name,
+            "Page-based" | "PageDirty" | "Sub-blocked" | "Footprint"
+        ) {
             assert!(*n > 0, "{name}: no dirty eviction in the lockstep cases");
         }
     }
